@@ -10,7 +10,6 @@ scaling experiments measure.
 
 from .amplitude import (
     DEFAULT_C,
-    EstProbPlan,
     ProbEstimate,
     ae_outcome_pmf,
     calibrate_constant,
@@ -77,4 +76,4 @@ from .testers import (
     utest,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

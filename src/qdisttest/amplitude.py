@@ -6,10 +6,12 @@ superposition over oracle inputs.  Phase estimation applied to the induced
 rotation (angle ``2*theta`` with ``sin^2 theta = a``) measures an outcome
 ``y`` in ``{0, ..., m-1}`` whose law is known in closed form: the initial
 state splits half-and-half across the two rotation eigenphases ``+-theta/pi``
-and each contributes a Fejer-type kernel around its grid position.  Sampling
-that law directly gives the exact statistics of the m-step estimation network
-in O(m) time, with no state vector, so domains up to millions of elements
-stay cheap.
+and each contributes a Fejer-type kernel around its grid position.
+:func:`est_prob` samples that law exactly, with no state vector, at a cost
+per draw that does not grow with m: an inverse CDF over a few offsets
+around the branch's grid position, then rejection from a Jordan-inequality
+envelope for the tails.  :func:`ae_outcome_pmf` materializes the whole law
+in O(m) time and memory; it is the reference the sampler is tested against.
 
 A dense unitary simulator of the full network (:func:`unitary_reference_pmf`)
 exists purely as an independent correctness oracle for small instances.
@@ -35,11 +37,9 @@ from .distributions import OracleTable, QueryLedger
 
 __all__ = [
     "ProbEstimate",
-    "EstProbPlan",
     "ae_outcome_pmf",
     "unitary_reference_pmf",
     "est_prob",
-    "estimate_from_outcome",
     "coverage_probability",
     "queries_for",
     "calibrate_constant",
@@ -57,8 +57,13 @@ ALIGNMENT_TOL = 1e-12
 DENSE_S_CAP = 256
 DENSE_M_CAP = 64
 
-# Largest outcome law we are willing to materialize (~67 MB of doubles).
+# Largest outcome law ae_outcome_pmf will materialize (~67 MB of doubles).
 PMF_LENGTH_CAP = 2**23
+
+# Offsets from a branch's grid position that the sampler draws by inverse
+# CDF, most probable first, and the first offsets of the two tails.
+_BLOCK = (0, 1, -1, 2, -2, 3, -3, 4)
+_RIGHT, _LEFT = 5, -4
 
 # Calibrated estimation constant.  Produced by calibrate_constant() on the
 # default 3x3x3 grid (see default_calibration_grid) with 4000 trials per cell
@@ -102,10 +107,6 @@ def ae_outcome_pmf(a: float, m: int) -> np.ndarray:
     # drift by ~1e-10, so rescale.  (A no-op at the exact special cases.)
     pmf /= pmf.sum()
     return pmf
-
-
-def estimate_from_outcome(y: int, m: int) -> float:
-    return math.sin(math.pi * y / m) ** 2
 
 
 def unitary_reference_pmf(
@@ -166,22 +167,6 @@ class ProbEstimate:
     target_set_mass: float
 
 
-@dataclass(frozen=True)
-class EstProbPlan:
-    """Query budget derived from a (precision, failure-probability) contract."""
-
-    delta: float
-    omega: float
-    c: float
-    pa_upper: float
-    m: int
-
-    @classmethod
-    def for_contract(cls, delta: float, omega: float, pa_upper: float, c: float | None = None):
-        c = DEFAULT_C if c is None else c
-        return cls(delta, omega, c, pa_upper, queries_for(delta, omega, pa_upper, c))
-
-
 def queries_for(delta: float, omega: float, pa_upper: float, c: float | None = None) -> int:
     """Smallest m with ``m >= c*sqrt(pa)/(omega*delta)`` and ``m >= c/(omega*sqrt(delta))``."""
     if delta <= 0:
@@ -198,38 +183,76 @@ def queries_for(delta: float, omega: float, pa_upper: float, c: float | None = N
     return max(1, m1, m2)
 
 
-class _LawCache:
-    """Memoizes outcome-law CDFs keyed by (amplitude, m)."""
-
-    def __init__(self, max_entries: int = 128):
-        self.max_entries = max_entries
-        self._store: dict[tuple[float, int], np.ndarray] = {}
-
-    def cdf(self, a: float, m: int) -> np.ndarray:
-        key = (a, m)
-        hit = self._store.get(key)
-        if hit is None:
-            pmf = ae_outcome_pmf(a, m)
-            hit = np.cumsum(pmf)
-            hit /= hit[-1]
-            if len(self._store) >= self.max_entries:
-                self._store.clear()
-            self._store[key] = hit
-        return hit
-
-
-_law_cache = _LawCache()
-
-
 def _target_mass(o: OracleTable, target) -> float:
     dist = o.distribution()
-    idx = np.unique(np.asarray(list(target) if not isinstance(target, np.ndarray) else target,
-                               dtype=np.int64))
+    if not isinstance(target, np.ndarray):
+        target = list(target)
+    if len(target) == 1:
+        i = int(target[0])
+        if not 0 <= i < o.n:
+            raise ValueError("target elements must lie in [0, n)")
+        return int(dist.counts[i]) / dist.denominator
+    idx = np.sort(np.asarray(target, dtype=np.int64))
     if idx.size == 0:
         return 0.0
-    if idx.min() < 0 or idx.max() >= o.n:
+    if idx[0] < 0 or idx[-1] >= o.n:
         raise ValueError("target elements must lie in [0, n)")
-    return int(dist.counts[idx].sum()) / dist.denominator
+    counts = dist.counts[idx]
+    counts[1:][idx[1:] == idx[:-1]] = 0  # a repeated element counts once
+    return int(counts.sum()) / dist.denominator
+
+
+def _sample_outcome(a: float, m: int, rng: np.random.Generator) -> int:
+    """One exact draw from ``ae_outcome_pmf(a, m)`` in time independent of m.
+
+    The law is an even mixture of two branches, and the branch at ``-phi`` is
+    the mirror image ``y -> -y mod m`` of the branch at ``+phi``.  On the
+    ``+phi`` branch, with ``c = phi*m = base + f``, outcome ``base + k``
+    has probability ``sin^2(pi f) / (m sin(pi (k - f) / m))^2`` for the m
+    offsets ``k`` with ``-m/2 < k - f <= m/2``.
+    """
+    u = rng.random()
+    # One uniform both picks the branch and, rescaled, drives the inverse CDF.
+    sign, u = (1, 2.0 * u) if u < 0.5 else (-1, 2.0 * u - 1.0)
+    c = math.asin(math.sqrt(a)) / math.pi * m
+    base = math.floor(c)
+    f = c - base
+    # A branch aligned with the grid is a point mass at its grid position.
+    aligned = min(f, 1.0 - f) < ALIGNMENT_TOL
+    k = round(f) if aligned else _offset(f, m, u, rng)
+    return sign * (base + k) % m
+
+
+def _offset(f: float, m: int, u: float, rng: np.random.Generator) -> int:
+    """Offset ``k`` of one branch, for ``0 < f < 1``, given a uniform ``u``."""
+    lo = math.floor(f - m / 2) + 1
+    hi = math.floor(f + m / 2)
+    scale = math.sin(math.pi * f) / m
+    w = math.pi / m
+    for k in _BLOCK:
+        if lo <= k <= hi:
+            p = (scale / math.sin(w * (k - f))) ** 2
+            if u < p:
+                return k
+            u -= p
+    # Tails.  Within the window |x| = |k - f| <= m/2, Jordan's inequality
+    # sin(t) >= 2t/pi bounds each probability by sin^2(pi f) / (4 x^2), which
+    # is at most sin^2(pi f)/4 times the integral of 1/t^2 over the cell
+    # [|x| - 1, |x|].  Propose t from that density over both tails, map it to
+    # its cell, and accept with the ratio of probability to envelope.
+    right = 1.0 / (_RIGHT - 1 - f) - 1.0 / (hi - f) if hi >= _RIGHT else 0.0
+    left = 1.0 / (f - _LEFT - 1) - 1.0 / (f - lo) if lo <= _LEFT else 0.0
+    if right + left == 0.0:
+        return min(max(k, lo), hi)  # u passed the float sum of a whole window
+    while True:
+        v = rng.random() * (right + left)
+        if v < right:
+            k = math.ceil(f + 1.0 / (1.0 / (_RIGHT - 1 - f) - v))
+        else:
+            k = math.floor(f - 1.0 / (1.0 / (f - _LEFT - 1) - (v - right)))
+        x = abs(k - f)
+        if lo <= k <= hi and rng.random() * (m * math.sin(w * x)) ** 2 <= 4.0 * x * (x - 1.0):
+            return k
 
 
 def est_prob(
@@ -241,22 +264,20 @@ def est_prob(
 ) -> ProbEstimate:
     """Estimate the mass of ``target`` using exactly ``m`` oracle applications.
 
-    Samples the outcome of the m-step estimation network directly from its
-    closed-form law.  Charges ``m`` quantum applications to the ledger.
+    Samples the outcome of the m-step estimation network exactly from its
+    closed-form law, in time that does not grow with m.  Duplicate target
+    elements count once.  Charges ``m`` quantum applications to the ledger.
     Zero-mass targets yield estimate 0 with certainty.
     """
     m = int(m)
     if m < 1:
         raise ValueError("m must be a positive integer")
     a = _target_mass(o, target)
-    cdf = _law_cache.cdf(a, m)
-    y = int(np.searchsorted(cdf, rng.random(), side="right"))
-    if y >= m:
-        y = m - 1
+    y = _sample_outcome(a, m, rng)
     if ledger is not None:
         ledger.add_quantum(m)
     return ProbEstimate(
-        estimate=estimate_from_outcome(y, m),
+        estimate=math.sin(math.pi * y / m) ** 2,
         raw_outcome=y,
         m=m,
         target_set_mass=a,
@@ -302,10 +323,11 @@ def calibrate_constant(
     """Smallest constant in a geometric sweep meeting the coverage contract.
 
     For each candidate ``c`` and each grid cell ``(a, delta, omega)``, draws
-    ``trials_per_cell`` estimates at ``m = queries_for(delta, omega, a, c)``
-    and requires the one-sided binomial lower confidence bound on the
-    within-delta rate to reach ``1 - omega``.  Returns the first passing
-    candidate.
+    how many of ``trials_per_cell`` estimates at
+    ``m = queries_for(delta, omega, a, c)`` land within delta (a binomial
+    count at the exact coverage probability) and requires the one-sided
+    binomial lower confidence bound on that rate to reach ``1 - omega``.
+    Returns the first passing candidate.
 
     Raises
     ------
@@ -320,20 +342,12 @@ def calibrate_constant(
         sweep = [2 ** (j / 4) for j in range(25)]  # 1.0 .. 64, quarter octaves
 
     for c in sweep:
-        ok = True
         for a, delta, omega in grid:
-            m = queries_for(delta, omega, a, c)
-            pmf = ae_outcome_pmf(a, m)
-            cdf = np.cumsum(pmf)
-            cdf /= cdf[-1]
-            ys = np.searchsorted(cdf, rng.random(trials_per_cell), side="right")
-            np.clip(ys, 0, m - 1, out=ys)
-            estimates = np.sin(np.pi * ys / m) ** 2
-            hits = int(np.count_nonzero(np.abs(estimates - a) <= delta))
+            coverage = min(1.0, coverage_probability(a, delta, queries_for(delta, omega, a, c)))
+            hits = int(rng.binomial(trials_per_cell, coverage))
             if _binomial_lcb(hits, trials_per_cell, confidence) < 1.0 - omega:
-                ok = False
                 break
-        if ok:
+        else:
             return float(c)
     raise RuntimeError("calibration sweep exhausted without meeting coverage")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import OracleTable, QueryLedger, classical_samples
+from .distributions import OracleTable, QueryLedger, classical_sample, classical_samples
 
 __all__ = [
     "SamplingAdapter",
@@ -35,9 +35,7 @@ class SamplingAdapter:
 
     def query(self, rng: np.random.Generator, requested: int | None = None) -> int:
         del requested  # adaptive choice carries no information here
-        value = int(self.oracle.table[rng.integers(0, self.oracle.s)])
-        self.ledger.add_classical(1)
-        return value
+        return classical_sample(self.oracle, rng, self.ledger)
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return classical_samples(self.oracle, size, rng, self.ledger)
@@ -91,9 +89,10 @@ def classical_statdiff_plugin(
     m = int(m)
     if m < 1:
         raise ValueError("need at least one sample")
-    hp = np.bincount(classical_samples(op, m, rng, ledger_p), minlength=op.n) / m
-    hq = np.bincount(classical_samples(oq, m, rng, ledger_q), minlength=oq.n) / m
-    return 0.5 * float(np.abs(hp - hq).sum())
+    hp = np.bincount(classical_samples(op, m, rng, ledger_p), minlength=op.n)
+    hq = np.bincount(classical_samples(oq, m, rng, ledger_q), minlength=oq.n)
+    # Integer counts keep the sum exact; one division rounds once.
+    return int(np.abs(hp - hq).sum()) / (2 * m)
 
 
 def classical_orthogonality_test(

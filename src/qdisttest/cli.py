@@ -126,19 +126,21 @@ def _run_decision_experiment(args, run_one, positive: str):
 
 
 def cmd_uniformity(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    # The instance has its own stream, so a saved instance reloaded with
+    # --instance-file leaves the trials' stream, and hence the rows, as they were.
+    instance_rng, rng = harness.spawn_rngs(args.seed, 2)
     if args.instance_file:
         from .distributions import load_oracle
 
-        oracle, _ = load_oracle(args.instance_file)
-        if oracle.n != args.n:
-            args.n = oracle.n
+        oracle, kind = load_oracle(args.instance_file)
+        args.n = oracle.n
     else:
-        oracle = harness.make_instance(args.instance, args.n, args.eps, rng)
+        kind = args.instance
+        oracle = harness.make_instance(kind, args.n, args.eps, instance_rng)
     if args.save_instance:
         from .distributions import save_oracle
 
-        save_oracle(oracle, args.save_instance)
+        save_oracle(oracle, args.save_instance, kind=kind)
     params = testers.UniformityParams(
         epsilon=args.eps,
         mode=args.mode,
@@ -156,7 +158,7 @@ def cmd_uniformity(args) -> int:
     m, k, l, thr = params.resolved(args.n)
     meta = {
         "n": args.n,
-        "instance": args.instance,
+        "instance": kind or "unknown",
         "eps": args.eps,
         "mode": args.mode,
         "m": m,

@@ -27,8 +27,8 @@ from .distributions import (
 
 __all__ = [
     "CSV_SCHEMA_VERSION",
+    "RNG_STREAM",
     "render_csv",
-    "write_csv",
     "spawn_rngs",
     "fit_loglog",
     "ScalingRow",
@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 CSV_SCHEMA_VERSION = "1"
+# How a seed's random stream is consumed (files without the key: stream 1).
+# Stream 2: the m-independent outcome sampler, batched est_dist mixture
+# draws, and the uniformity instance shuffled from its own child stream.
+RNG_STREAM = "2"
 
 # Whole-run error targets and sweep grids for the scaling study.
 DEFAULT_TARGET_ERROR = 1 / 3
@@ -64,18 +68,13 @@ def render_csv(command: str, columns, rows, meta: dict | None = None) -> str:
     """Render rows with a versioned comment header and a column header."""
     meta = dict(meta or {})
     meta_str = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(meta.items()))
-    head = f"# qdisttest-csv schema={CSV_SCHEMA_VERSION} command={command}"
+    head = f"# qdisttest-csv schema={CSV_SCHEMA_VERSION} rng_stream={RNG_STREAM} command={command}"
     if meta_str:
         head += " " + meta_str
     lines = [head, ",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in columns))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path, command: str, columns, rows, meta: dict | None = None) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(render_csv(command, columns, rows, meta))
 
 
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:

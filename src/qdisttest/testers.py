@@ -29,7 +29,7 @@ from .amplitude import DEFAULT_C, est_prob
 from .distributions import (
     OracleTable,
     QueryLedger,
-    classical_sample,
+    classical_sample,  # noqa: F401  perfbench/tracing.py looks it up here
     classical_samples,
 )
 
@@ -141,6 +141,11 @@ class TestVerdict:
         ]
 
 
+def _explicit(value, default):
+    """An explicitly set parameter, else its default (0 is explicit too)."""
+    return default if value is None else value
+
+
 # ---------------------------------------------------------------------------
 # Statistical difference
 
@@ -196,10 +201,10 @@ def est_dist(
     """Estimate half the L1 distance between the two oracle distributions.
 
     Draws elements from the even mixture of the two distributions (a fair
-    coin decides which oracle supplies each classical sample), estimates both
-    singleton masses for each drawn element, and averages the contrasts
-    ``|p~ - q~| / (p~ + q~)``.  Every term lies in [0, 1], hence so does the
-    output.
+    coin decides which oracle supplies each classical sample, and that
+    oracle's ledger is charged for it), estimates both singleton masses for
+    each drawn element, and averages the contrasts ``|p~ - q~| / (p~ + q~)``.
+    Every term lies in [0, 1], hence so does the output.
 
     If both singleton estimates are zero the term is defined as 0.  (A drawn
     element always has positive mixture mass, but the estimator can still
@@ -211,13 +216,15 @@ def est_dist(
     n_samples = params.sample_count()
     m_inner = params.inner_queries(op.n)
 
+    from_q = rng.integers(0, 2, size=n_samples) == 1
+    elements = np.empty(n_samples, dtype=np.int64)
+    n_q = int(from_q.sum())
+    elements[~from_q] = classical_samples(op, n_samples - n_q, rng, ledgers["p"])
+    elements[from_q] = classical_samples(oq, n_q, rng, ledgers["q"])
+
     terms: list[TermRecord] = []
     total = 0.0
-    for a in range(n_samples):
-        if rng.integers(0, 2) == 0:
-            i = classical_sample(op, rng, ledgers["p"])
-        else:
-            i = classical_sample(oq, rng, ledgers["q"])
+    for a, i in enumerate(elements.tolist()):
         pe = est_prob(op, (i,), m_inner, rng, ledgers["p"])
         qe = est_prob(oq, (i,), m_inner, rng, ledgers["q"])
         denom = pe.estimate + qe.estimate
@@ -266,6 +273,8 @@ class UniformityParams:
             raise ValueError("mode must be 'paper' or 'practical'")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if any(v is not None and v < 1 for v in (self.m_samples, self.k_queries, self.l_repeats)):
+            raise ValueError("explicit m_samples, k_queries and l_repeats must be positive")
 
     @property
     def alpha(self) -> float:
@@ -280,26 +289,22 @@ class UniformityParams:
         eps = self.epsilon
         base = n ** (1 / 3) / eps ** (4 / 3)
         if self.mode == "paper":
-            m = self.m_samples or math.ceil((32.0 * n / eps**4) ** (1 / 3))
             try:
                 blowup = math.exp(self.alpha)
             except OverflowError:
                 blowup = math.inf
-            k = self.k_queries or (
-                math.ceil(self.c * blowup * base) if math.isfinite(blowup) else math.inf
-            )
-            l = self.l_repeats or (
-                math.ceil(4.0 * blowup) if math.isfinite(blowup) else math.inf
-            )
-            factor = self.threshold_factor or (1.0 + eps**2 / 8.0)
+            m = math.ceil((32.0 * n / eps**4) ** (1 / 3))
+            k, l = self.c * blowup * base, 4.0 * blowup
+            factor = 1.0 + eps**2 / 8.0
         else:
-            m = self.m_samples or max(4, math.ceil(PRACTICAL_UNIFORMITY_SAMPLE_MULT * base))
-            k = self.k_queries or math.ceil(PRACTICAL_UNIFORMITY_QUERY_MULT * base)
-            l = self.l_repeats or PRACTICAL_UNIFORMITY_REPEATS
-            factor = self.threshold_factor or (
-                1.0 + PRACTICAL_UNIFORMITY_THRESHOLD_BUMP * eps**2
-            )
-        threshold = factor * m / n
+            m = max(4, math.ceil(PRACTICAL_UNIFORMITY_SAMPLE_MULT * base))
+            k, l = PRACTICAL_UNIFORMITY_QUERY_MULT * base, PRACTICAL_UNIFORMITY_REPEATS
+            factor = 1.0 + PRACTICAL_UNIFORMITY_THRESHOLD_BUMP * eps**2
+        k, l = (math.ceil(x) if math.isfinite(x) else math.inf for x in (k, l))
+        m = _explicit(self.m_samples, m)
+        k = _explicit(self.k_queries, k)
+        l = _explicit(self.l_repeats, l)
+        threshold = _explicit(self.threshold_factor, factor) * m / n
         return m, k, l, threshold
 
 
@@ -423,11 +428,13 @@ class OrthogonalityParams:
             raise ValueError("epsilon must be positive")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if any(v is not None and v < 1 for v in (self.m_samples, self.k_queries)):
+            raise ValueError("explicit m_samples and k_queries must be positive")
 
     def resolved(self, n: int) -> tuple[int, int, float]:
         default = math.ceil(n ** (1 / 3) / self.epsilon)
-        m = self.m_samples or default
-        k = self.k_queries or default
+        m = _explicit(self.m_samples, default)
+        k = _explicit(self.k_queries, default)
         threshold = self.threshold
         if threshold is None:
             threshold = self.epsilon**3 * m / (2**12 * n)
@@ -457,8 +464,7 @@ def otest(
         raise ValueError("oracles must share a support size")
     m, k, threshold = params.resolved(op.n)
     samples = classical_samples(op, m, rng, ledger_p)
-    seen = np.unique(samples)
-    qe = est_prob(oq, seen, k, rng, ledger_q)
+    qe = est_prob(oq, samples, k, rng, ledger_q)
     decision = "reject" if qe.estimate >= threshold else "accept"
     return RoundRecord(
         index=round_index,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qdisttest.amplitude import (
     DEFAULT_C,
-    EstProbPlan,
     ae_outcome_pmf,
     calibrate_constant,
     coverage_probability,
@@ -22,6 +21,7 @@ from qdisttest.distributions import (
     OracleTable,
     QueryLedger,
     make_oracle,
+    overlapping_pair,
     uniform,
 )
 
@@ -156,6 +156,89 @@ def test_est_prob_duplicate_target_elements_count_once():
     rng = np.random.default_rng(6)
     pe = est_prob(o, (1, 1, 1), 8, rng)
     assert pe.target_set_mass == 0.25
+    pe = est_prob(o, np.array([3, 1, 3, 0, 1, 3]), 8, rng)
+    assert pe.target_set_mass == 0.75
+
+
+def test_est_prob_rejects_targets_outside_the_domain():
+    o = make_oracle(uniform(4), 4, seed=0)
+    rng = np.random.default_rng(6)
+    for target in ((4,), (-1,), (0, 4), np.array([-1, 2])):
+        with pytest.raises(ValueError, match="lie in"):
+            est_prob(o, target, 8, rng)
+
+
+def _chi_square_pvalue(outcomes, pmf) -> float:
+    """Pearson chi-square p-value; cells expecting fewer than 5 are pooled."""
+    from scipy.stats import chi2
+
+    expected = pmf * len(outcomes)
+    observed = np.bincount(outcomes, minlength=pmf.size)
+    small = expected < 5
+    expected = np.append(expected[~small], expected[small].sum())
+    observed = np.append(observed[~small], observed[small].sum())
+    empty = expected == 0
+    assert observed[empty].sum() == 0  # an outcome the law gives probability 0
+    expected, observed = expected[~empty], observed[~empty]
+    if expected.size == 1:
+        return 1.0
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    return float(chi2.sf(stat, expected.size - 1))
+
+
+def test_est_prob_draws_follow_the_outcome_law():
+    # Every (mass, m) cell: 10^4 draws against ae_outcome_pmf, failing only
+    # below p = 1e-6.  Small m checks the offset window; m = 997 and 200000
+    # reach the rejection-sampled tails.
+    den = 10**6
+    draws = 10**4
+    for i, a in enumerate((0.0, 1e-6, 0.05, 0.137, 0.5, 0.9, 1.0)):
+        counts = np.array([round(a * den), den - round(a * den)], dtype=np.int64)
+        o = make_oracle(Distribution(counts, den), den, seed=i)
+        for j, m in enumerate((1, 2, 3, 5, 7, 8, 9, 997, 200000)):
+            rng = np.random.default_rng([40, i, j])
+            ys = np.array([est_prob(o, (0,), m, rng).raw_outcome for _ in range(draws)])
+            p = _chi_square_pvalue(ys, ae_outcome_pmf(a, m))
+            assert p >= 1e-6, (a, m, p)
+
+
+def test_outcome_tails_follow_the_outcome_law():
+    # A uniform beyond the central offsets' mass sends _offset to the tails
+    # alone, so 4*10^4 draws there resolve envelope errors of a few percent,
+    # which whole-law draws (a twentieth of them in the tails) would miss.
+    from qdisttest.amplitude import _offset
+
+    for i, (f, m) in enumerate(((0.5, 11), (0.3, 9), (0.9, 16), (0.5, 997), (0.01, 200000))):
+        rng = np.random.default_rng([43, i])
+        offsets = np.arange(math.floor(f - m / 2) + 1, math.floor(f + m / 2) + 1)
+        law = (math.sin(math.pi * f) / (m * np.sin(np.pi * (offsets - f) / m))) ** 2
+        law[(offsets > -4) & (offsets < 5)] = 0.0
+        ks = np.array([_offset(f, m, 1.0, rng) for _ in range(4 * 10**4)])
+        assert ks.min() >= offsets[0] and ks.max() <= offsets[-1]
+        p = _chi_square_pvalue(ks - offsets[0], law / law.sum())
+        assert p >= 1e-6, (f, m, p)
+
+
+def test_est_prob_aligned_phase_is_a_point_mass_per_branch():
+    # mass sin^2(pi k / m) puts each eigenphase branch exactly on outcome k or m - k
+    rng = np.random.default_rng(41)
+    for counts, m, outcomes in (([1, 1], 4, {1, 3}), ([1, 3], 12, {2, 10}), ([1, 0], 4, {2})):
+        o = make_oracle(Distribution(np.array(counts), sum(counts)), sum(counts), seed=0)
+        seen = {est_prob(o, (0,), m, rng).raw_outcome for _ in range(2000)}
+        assert seen == outcomes, (counts, m, seen)
+
+
+def test_est_prob_at_m_beyond_any_materializable_law():
+    m = 2**33
+    p, _ = overlapping_pair(1000, 1)
+    o = make_oracle(p, p.denominator, seed=0)
+    rng = np.random.default_rng(42)
+    ledger = QueryLedger()
+    for element in (0, 1, 999):
+        pe = est_prob(o, (element,), m, rng, ledger)
+        assert 0 <= pe.raw_outcome < m
+        assert pe.estimate == pytest.approx(pe.target_set_mass, abs=1e-6)
+    assert ledger.quantum_applications == 3 * m
 
 
 def test_est_prob_coverage_contract():
@@ -195,10 +278,11 @@ def test_queries_for_validation():
         queries_for(0.1, 0.1, 1.5)
 
 
-def test_plan_satisfies_inequalities():
-    plan = EstProbPlan.for_contract(0.05, 0.1, 0.3)
-    assert plan.m >= plan.c * math.sqrt(plan.pa_upper) / (plan.omega * plan.delta)
-    assert plan.m >= plan.c / (plan.omega * math.sqrt(plan.delta))
+def test_queries_for_satisfies_inequalities():
+    delta, omega, pa = 0.05, 0.1, 0.3
+    m = queries_for(delta, omega, pa)
+    assert m >= DEFAULT_C * math.sqrt(pa) / (omega * delta)
+    assert m >= DEFAULT_C / (omega * math.sqrt(delta))
 
 
 def test_calibrate_degenerate_grid_returns_smallest():

@@ -159,6 +159,17 @@ def test_plugin_disjoint_supports():
     assert est >= 0.999  # empirical supports are disjoint by construction
 
 
+def test_plugin_disjoint_is_exactly_one():
+    # Summing float histograms missed 1.0 by an ulp on a few calls per ten
+    # thousand; seed 2209 is one of them.
+    n, m = 10**6, 4000
+    p, q = disjoint_pair(n)
+    op = make_oracle(p, p.denominator, np.random.default_rng(0))
+    oq = make_oracle(q, q.denominator, np.random.default_rng(1))
+    for seed in range(2200, 2250):
+        assert classical_statdiff_plugin(op, oq, m, np.random.default_rng(seed)) == 1.0
+
+
 def test_plugin_spurious_at_small_budgets():
     # far below sqrt(n) samples, identical uniforms look maximally far apart
     rng = np.random.default_rng(10)

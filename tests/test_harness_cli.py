@@ -24,7 +24,7 @@ def test_render_csv_layout():
         {"seed": 7, "n": 10},
     )
     lines = text.splitlines()
-    assert lines[0] == "# qdisttest-csv schema=1 command=demo n=10 seed=7"
+    assert lines[0] == "# qdisttest-csv schema=1 rng_stream=2 command=demo n=10 seed=7"
     assert lines[1] == "trial,value"
     assert lines[2] == "0,0.5"
     assert text.endswith("\n")
@@ -216,6 +216,40 @@ def test_cli_instance_file_fixture(tmp_path):
     rows1 = out1.read_text().splitlines()[2:]
     rows2 = out2.read_text().splitlines()[2:]
     assert rows1 == rows2
+
+
+def test_cli_estdist_paper_mode_runs_at_billions_of_queries(tmp_path):
+    # 27 / (tau eps^2) = 8100 samples, each estimated on both oracles with
+    # m = ceil(c sqrt(1000) / (eps^6 tau^4)) = 4,307,819,677 queries
+    out = tmp_path / "p.csv"
+    assert run_cli(["estdist", "--mode", "paper", "--eps", "0.1", "--trials", "1",
+                    "--seed", "5", "--out", str(out)]) == 0
+    columns, row = out.read_text().splitlines()[1:]
+    row = dict(zip(columns.split(","), row.split(",")))
+    assert int(row["classical"]) == 8100
+    assert int(row["quantum"]) == 2 * 8100 * 4_307_819_677
+    assert abs(float(row["estimate"]) - float(row["target"])) < 0.1
+
+
+def test_cli_instance_file_reproduces_runs_over_seeds(tmp_path):
+    inst = tmp_path / "inst.txt"
+    out1 = tmp_path / "a.csv"
+    out2 = tmp_path / "b.csv"
+    for seed in range(10):
+        common = ["--trials", "5", "--seed", str(seed)]
+        assert run_cli(["uniformity", "--n", "1000", "--instance", "half_support", *common,
+                        "--save-instance", str(inst), "--out", str(out1)]) == 0
+        assert inst.read_text().startswith("kind half_support\n")
+        assert run_cli(["uniformity", "--instance-file", str(inst), *common,
+                        "--out", str(out2)]) == 0
+        # same rows, and a header naming the file's instance, not the flag's default
+        assert out1.read_text() == out2.read_text(), seed
+
+
+def test_cli_rejects_non_positive_counts():
+    for argv in (["uniformity", "--samples", "0"], ["uniformity", "--k", "-1"],
+                 ["uniformity", "--repeats", "0"], ["orthogonality", "--k", "0"]):
+        assert run_cli([*argv, "--n", "1000", "--trials", "1"]) == 2, argv
 
 
 def test_cli_estprob_coverage(tmp_path, capsys):

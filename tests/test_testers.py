@@ -175,6 +175,22 @@ def test_uniformity_params_paper_formulas():
     assert math.isinf(k) and math.isinf(l)
 
 
+def test_params_keep_explicit_values_and_reject_non_positive_counts():
+    n = 1000
+    m, k, l, threshold = UniformityParams(
+        epsilon=0.5, m_samples=1, k_queries=1, l_repeats=1, threshold_factor=0.0
+    ).resolved(n)
+    assert (m, k, l, threshold) == (1, 1, 1, 0.0)
+    assert OrthogonalityParams(epsilon=0.5, m_samples=1, k_queries=1).resolved(n)[:2] == (1, 1)
+    for field in ("m_samples", "k_queries", "l_repeats"):
+        for value in (0, -3):
+            with pytest.raises(ValueError, match="must be positive"):
+                UniformityParams(epsilon=0.5, mode="paper", **{field: value})
+    for field in ("m_samples", "k_queries"):
+        with pytest.raises(ValueError, match="must be positive"):
+            OrthogonalityParams(epsilon=0.5, **{field: 0})
+
+
 def test_uniformity_paper_mode_unrunnable_raises():
     rng = np.random.default_rng(6)
     o = make_oracle(uniform(64), 64, rng)
