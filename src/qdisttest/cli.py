@@ -6,6 +6,11 @@ a byte-identical file.  Options may also be supplied through ``--spec``, a
 plain-text file of ``key=value`` lines whose keys are the long option names
 (hyphens or underscores); explicit command-line flags win over the file.
 
+Each subcommand is one entry of ``EXPERIMENTS``: its help text, its flags,
+its default ``--trials`` and the function that turns the parsed flags into
+its output.  The parser is generated from that table, and ``run`` writes
+every subcommand's output.
+
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 """
 
@@ -14,379 +19,360 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
-from . import amplitude, baselines, harness, lowerbounds, testers
+from . import amplitude, baselines, distributions, harness, lowerbounds, testers
 
 CONFIG_ERROR = 2
 RUNTIME_ERROR = 3
 
 
-def _add_common(parser: argparse.ArgumentParser, trials_default: int = 100) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="experiment seed")
-    parser.add_argument("--trials", type=int, default=trials_default, help="trial count")
-    parser.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-    parser.add_argument(
-        "--spec", default=None, help="key=value file supplying defaults for this command"
-    )
+class _Count(argparse.Action):
+    """Stores an explicit count; one below 1 is a configuration error."""
+
+    # argparse turns only ArgumentError into usage-and-exit; the ValueError
+    # raised here reaches main, which returns CONFIG_ERROR.
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            raise ValueError(f"{option_string} must be positive")
+        setattr(namespace, self.dest, value)
 
 
-def _emit(args, command, columns, rows, meta) -> None:
-    text = harness.render_csv(command, columns, rows, meta)
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _flag(name, **kw):
+    return name, kw
+
+
+def _count(name, default=None, help=None):
+    """A count flag: absent means ``default`` (``None``: the experiment's
+    rule), and an explicit value below 1 exits with a configuration error."""
+    return _flag(name, type=int, default=default, action=_Count, help=help)
+
+
+def _n(default):
+    return _flag("--n", type=int, default=default)
+
+
+def _pair(default):
+    return _flag("--pair", choices=["identical", "disjoint", "overlapping"], default=default)
+
+
+EPS = _flag("--eps", type=float, default=0.5)
+MODE = _flag("--mode", choices=["paper", "practical"], default="practical")
+INSTANCE = _flag("--instance", choices=["uniform", "biased", "half_support"], default="uniform")
+SAMPLES = _count("--samples")
+K = _count("--k")
+OUTPUT = [
+    _flag("--out", default=None, help="output CSV path (default: stdout)"),
+    _flag("--spec", default=None, help="key=value file supplying defaults for this command"),
+]
+ESTIMATE_COLUMNS = ["trial", "estimate", "target", "classical", "quantum"]
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# trial loops
 
 
-def cmd_estprob(args) -> int:
+def _trials(args, trial) -> list[dict]:
+    """One row per trial: its index, then the fields ``trial()`` returns."""
+    return [{"trial": t, **trial()} for t in range(args.trials)]
+
+
+def _charged(ledgers, **row) -> dict:
+    """``row`` with the classical and quantum queries charged to ``ledgers``."""
+    return {
+        **row,
+        "classical": sum(l.classical_samples for l in ledgers),
+        "quantum": sum(l.quantum_applications for l in ledgers),
+    }
+
+
+def _verdict(v) -> dict:
+    return _charged(v.ledgers.values(), decision=v.decision)
+
+
+def _decisions(args, positive: str, trial):
+    """Columns, rows and summary of an accept/reject experiment; each row
+    adds whether the decision was ``positive`` and the cumulative rate."""
+    rate = "acceptance_rate" if positive == "accept" else "rejection_rate"
+    rows = _trials(args, trial)
+    hits = 0
+    for t, row in enumerate(rows):
+        row[positive] = int(row["decision"] == positive)
+        hits += row[positive]
+        row[rate] = hits / (t + 1)
+    columns = ["trial", "decision", positive, rate, "classical", "quantum"]
+    return columns, rows, f"{rate}={hits / args.trials!r}"
+
+
+def _pair_instance(args):
+    rng = np.random.default_rng(args.seed)
+    return (rng, *harness.make_instance_pair(args.pair, args.n, args.eps, rng))
+
+
+# ---------------------------------------------------------------------------
+# experiments: each returns its output and a stderr summary (or None).  The
+# output is a (columns, rows, meta) table, written as CSV with the seed added
+# to meta; a finished text; or None when the experiment wrote its own file.
+
+
+def _estprob(args):
     rng = np.random.default_rng(args.seed)
     frac = 1000
     count = round(args.pa * frac)
     if abs(count / frac - args.pa) > 1e-12:
         raise ValueError("--pa must be a multiple of 0.001 so the oracle is exact")
-    counts = np.zeros(2, dtype=np.int64)
-    counts[0] = count
-    counts[1] = frac - count
-    from .distributions import Distribution, make_oracle
-
-    dist = Distribution(counts, frac)
-    oracle = make_oracle(dist, frac, rng)
+    dist = distributions.Distribution(np.array([count, frac - count], dtype=np.int64), frac)
+    oracle = distributions.make_oracle(dist, frac, rng)
     m = args.m or amplitude.queries_for(args.delta, args.omega, args.pa, args.c)
-    rows = []
-    within = 0
-    for t in range(args.trials):
+
+    def trial():
         pe = amplitude.est_prob(oracle, (0,), m, rng)
-        hit = abs(pe.estimate - args.pa) <= args.delta
-        within += hit
-        rows.append(
-            {"trial": t, "y": pe.raw_outcome, "estimate": pe.estimate, "within": hit}
-        )
-    meta = {
-        "pa": args.pa,
-        "delta": args.delta,
-        "omega": args.omega,
-        "m": m,
-        "c": args.c if args.c is not None else amplitude.DEFAULT_C,
-        "seed": args.seed,
-    }
-    _emit(args, "estprob", ["trial", "y", "estimate", "within"], rows, meta)
-    print(f"coverage={within / args.trials!r} m={m}", file=sys.stderr)
-    return 0
+        within = abs(pe.estimate - args.pa) <= args.delta
+        return {"y": pe.raw_outcome, "estimate": pe.estimate, "within": within}
+
+    rows = _trials(args, trial)
+    c = amplitude.DEFAULT_C if args.c is None else args.c
+    meta = {"pa": args.pa, "delta": args.delta, "omega": args.omega, "m": m, "c": c}
+    coverage = sum(r["within"] for r in rows) / args.trials
+    return (["trial", "y", "estimate", "within"], rows, meta), f"coverage={coverage!r} m={m}"
 
 
-def cmd_estdist(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    op, oq, distance = harness.make_instance_pair(args.pair, args.n, args.eps, rng)
+def _estdist(args):
+    rng, op, oq, distance = _pair_instance(args)
     params = testers.StatDiffParams(
         epsilon=args.eps, tau=args.tau, mode=args.mode, n=args.samples, m_inner=args.m_inner
     )
-    rows = []
-    for t in range(args.trials):
+
+    def trial():
         res = testers.est_dist(op, oq, params, rng)
-        rows.append(
-            {
-                "trial": t,
-                "estimate": res.estimate,
-                "target": distance / 2,
-                "classical": sum(l.classical_samples for l in res.ledgers.values()),
-                "quantum": sum(l.quantum_applications for l in res.ledgers.values()),
-            }
-        )
-    meta = {"n": args.n, "pair": args.pair, "distance": distance, "mode": args.mode, "seed": args.seed}
-    _emit(args, "estdist", ["trial", "estimate", "target", "classical", "quantum"], rows, meta)
-    return 0
+        return _charged(res.ledgers.values(), estimate=res.estimate, target=distance / 2)
+
+    meta = {"n": args.n, "pair": args.pair, "distance": distance, "mode": args.mode}
+    return (ESTIMATE_COLUMNS, _trials(args, trial), meta), None
 
 
-def _run_decision_experiment(args, run_one, positive: str):
-    """Shared trial loop for accept/reject testers; emits cumulative rate."""
-    rate_key = "acceptance_rate" if positive == "accept" else "rejection_rate"
-    rows = []
-    hits = 0
-    for t in range(args.trials):
-        decision, classical, quantum = run_one(t)
-        hits += decision == positive
-        rows.append(
-            {
-                "trial": t,
-                "decision": decision,
-                positive: int(decision == positive),
-                rate_key: hits / (t + 1),
-                "classical": classical,
-                "quantum": quantum,
-            }
-        )
-    return rows, hits / max(1, args.trials)
-
-
-def cmd_uniformity(args) -> int:
+def _uniformity(args):
     # The instance has its own stream, so a saved instance reloaded with
     # --instance-file leaves the trials' stream, and hence the rows, as they were.
     instance_rng, rng = harness.spawn_rngs(args.seed, 2)
     if args.instance_file:
-        from .distributions import load_oracle
-
-        oracle, kind = load_oracle(args.instance_file)
+        oracle, kind = distributions.load_oracle(args.instance_file)
         args.n = oracle.n
     else:
         kind = args.instance
         oracle = harness.make_instance(kind, args.n, args.eps, instance_rng)
     if args.save_instance:
-        from .distributions import save_oracle
-
-        save_oracle(oracle, args.save_instance, kind=kind)
+        distributions.save_oracle(oracle, args.save_instance, kind=kind)
     params = testers.UniformityParams(
-        epsilon=args.eps,
-        mode=args.mode,
-        m_samples=args.samples,
-        k_queries=args.k,
+        epsilon=args.eps, mode=args.mode, m_samples=args.samples, k_queries=args.k,
         l_repeats=args.repeats,
     )
-
-    def run_one(t):
-        v = testers.uniformity_test(oracle, params, rng)
-        l = v.ledgers["p"]
-        return v.decision, l.classical_samples, l.quantum_applications
-
-    rows, rate = _run_decision_experiment(args, run_one, "accept")
+    columns, rows, note = _decisions(
+        args, "accept", lambda: _verdict(testers.uniformity_test(oracle, params, rng))
+    )
     m, k, l, thr = params.resolved(args.n)
     meta = {
-        "n": args.n,
-        "instance": kind or "unknown",
-        "eps": args.eps,
-        "mode": args.mode,
-        "m": m,
-        "k": k,
-        "l": l,
-        "threshold": thr,
-        "seed": args.seed,
+        "n": args.n, "instance": kind or "unknown", "eps": args.eps, "mode": args.mode,
+        "m": m, "k": k, "l": l, "threshold": thr,
     }
-    _emit(
-        args,
-        "uniformity",
-        ["trial", "decision", "accept", "acceptance_rate", "classical", "quantum"],
-        rows,
-        meta,
-    )
-    print(f"acceptance_rate={rate!r}", file=sys.stderr)
-    return 0
+    return (columns, rows, meta), note
 
 
-def cmd_orthogonality(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    op, oq, distance = harness.make_instance_pair(args.pair, args.n, args.eps, rng)
+def _orthogonality(args):
+    rng, op, oq, distance = _pair_instance(args)
     params = testers.OrthogonalityParams(
         epsilon=args.eps, m_samples=args.samples, k_queries=args.k, rounds=args.rounds
     )
-
-    def run_one(t):
-        v = testers.orthogonality_test(op, oq, params, rng)
-        return (
-            v.decision,
-            sum(l.classical_samples for l in v.ledgers.values()),
-            sum(l.quantum_applications for l in v.ledgers.values()),
-        )
-
-    rows, rate = _run_decision_experiment(args, run_one, "reject")
-    meta = {
-        "n": args.n,
-        "pair": args.pair,
-        "eps": args.eps,
-        "distance": distance,
-        "rounds": params.rounds,
-        "seed": args.seed,
-    }
-    _emit(
-        args,
-        "orthogonality",
-        ["trial", "decision", "reject", "rejection_rate", "classical", "quantum"],
-        rows,
-        meta,
+    columns, rows, note = _decisions(
+        args, "reject", lambda: _verdict(testers.orthogonality_test(op, oq, params, rng))
     )
-    print(f"rejection_rate={rate!r}", file=sys.stderr)
-    return 0
+    meta = {"n": args.n, "pair": args.pair, "eps": args.eps, "distance": distance,
+            "rounds": params.rounds}
+    return (columns, rows, meta), note
 
 
-def cmd_baseline_uniformity(args) -> int:
+def _baseline_uniformity(args):
+    if args.eps <= 0:
+        raise ValueError("eps must be positive")
     rng = np.random.default_rng(args.seed)
     oracle = harness.make_instance(args.instance, args.n, args.eps, rng)
     m = args.samples or max(2, math.ceil(4.0 * math.sqrt(args.n) / args.eps**2))
 
-    def run_one(t):
+    def trial():
         ledger = testers.QueryLedger()
         decision = baselines.classical_uniformity_test(oracle, m, args.eps, rng, ledger)
-        return decision, ledger.classical_samples, ledger.quantum_applications
+        return _charged([ledger], decision=decision)
 
-    rows, rate = _run_decision_experiment(args, run_one, "accept")
-    meta = {"n": args.n, "instance": args.instance, "eps": args.eps, "m": m, "seed": args.seed}
-    _emit(
-        args,
-        "baseline-uniformity",
-        ["trial", "decision", "accept", "acceptance_rate", "classical", "quantum"],
-        rows,
-        meta,
-    )
-    print(f"acceptance_rate={rate!r}", file=sys.stderr)
-    return 0
+    columns, rows, note = _decisions(args, "accept", trial)
+    meta = {"n": args.n, "instance": args.instance, "eps": args.eps, "m": m}
+    return (columns, rows, meta), note
 
 
-def cmd_baseline_statdiff(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    op, oq, distance = harness.make_instance_pair(args.pair, args.n, args.eps, rng)
+def _baseline_statdiff(args):
+    rng, op, oq, distance = _pair_instance(args)
     m = args.samples or args.n
-    rows = []
-    for t in range(args.trials):
-        lp, lq = testers.QueryLedger(), testers.QueryLedger()
-        est = baselines.classical_statdiff_plugin(op, oq, m, rng, lp, lq)
-        rows.append(
-            {
-                "trial": t,
-                "estimate": est,
-                "target": distance / 2,
-                "classical": lp.classical_samples + lq.classical_samples,
-                "quantum": 0,
-            }
-        )
-    meta = {"n": args.n, "pair": args.pair, "distance": distance, "m": m, "seed": args.seed}
-    _emit(
-        args,
-        "baseline-statdiff",
-        ["trial", "estimate", "target", "classical", "quantum"],
-        rows,
-        meta,
-    )
-    return 0
+
+    def trial():
+        ledgers = testers.QueryLedger(), testers.QueryLedger()
+        est = baselines.classical_statdiff_plugin(op, oq, m, rng, *ledgers)
+        return _charged(ledgers, estimate=est, target=distance / 2)
+
+    meta = {"n": args.n, "pair": args.pair, "distance": distance, "m": m}
+    return (ESTIMATE_COLUMNS, _trials(args, trial), meta), None
 
 
-def cmd_baseline_orthogonality(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    op, oq, distance = harness.make_instance_pair(args.pair, args.n, args.eps, rng)
+def _baseline_orthogonality(args):
+    rng, op, oq, distance = _pair_instance(args)
     m = args.samples or max(1, math.ceil(4.0 * math.sqrt(args.n)))
 
-    def run_one(t):
-        lp, lq = testers.QueryLedger(), testers.QueryLedger()
-        decision = baselines.classical_orthogonality_test(op, oq, m, rng, lp, lq)
-        return decision, lp.classical_samples + lq.classical_samples, 0
+    def trial():
+        ledgers = testers.QueryLedger(), testers.QueryLedger()
+        decision = baselines.classical_orthogonality_test(op, oq, m, rng, *ledgers)
+        return _charged(ledgers, decision=decision)
 
-    rows, rate = _run_decision_experiment(args, run_one, "reject")
-    meta = {"n": args.n, "pair": args.pair, "distance": distance, "m": m, "seed": args.seed}
-    _emit(
-        args,
-        "baseline-orthogonality",
-        ["trial", "decision", "reject", "rejection_rate", "classical", "quantum"],
-        rows,
-        meta,
-    )
-    print(f"rejection_rate={rate!r}", file=sys.stderr)
-    return 0
+    columns, rows, note = _decisions(args, "reject", trial)
+    meta = {"n": args.n, "pair": args.pair, "distance": distance, "m": m}
+    return (columns, rows, meta), note
 
 
-def cmd_scaling(args) -> int:
-    n_values = [int(float(tok)) for tok in args.n_values.split(",")]
+def _scaling(args):
     result = harness.run_scaling(
-        args.tester, n_values, args.eps, trials=args.trials, seed=args.seed,
-        target_error=args.target_error,
+        args.tester, [int(float(tok)) for tok in args.n_values.split(",")], args.eps,
+        trials=args.trials, seed=args.seed, target_error=args.target_error,
     )
+    columns = ["n", "constant", "mean_queries", "error_rate", "saturated", "included_in_fit"]
     meta = {
-        "tester": args.tester,
-        "eps": args.eps,
-        "target_error": args.target_error,
-        "slope": result.slope,
-        "slope_stderr": result.slope_stderr,
-        "seed": args.seed,
+        "tester": args.tester, "eps": args.eps, "target_error": args.target_error,
+        "slope": result.slope, "slope_stderr": result.slope_stderr,
     }
-    _emit(
-        args,
-        "scaling",
-        ["n", "constant", "mean_queries", "error_rate", "saturated", "included_in_fit"],
-        result.csv_rows(),
-        meta,
-    )
-    print(f"slope={result.slope!r} stderr={result.slope_stderr!r}", file=sys.stderr)
-    return 0
+    note = f"slope={result.slope!r} stderr={result.slope_stderr!r}"
+    return (columns, [asdict(r) for r in result.rows], meta), note
 
 
-def cmd_calibrate(args) -> int:
+def _calibrate(args):
     rng = np.random.default_rng(args.seed)
     c = amplitude.calibrate_constant(trials_per_cell=args.trials, rng=rng)
-    if args.out:
-        amplitude.save_calibration(args.out, c, "default-3x3x3", args.seed)
-    print(f"c={c!r}", file=sys.stderr)
-    rows = [{"c": c, "grid": "default-3x3x3", "trials_per_cell": args.trials, "seed": args.seed}]
-    if not args.out:
-        sys.stdout.write(harness.render_csv("calibrate", ["c", "grid", "trials_per_cell", "seed"], rows, {}))
-    return 0
+    grid = "default-3x3x3"
+    if args.out:  # the plain-text record that amplitude.load_calibration reads
+        amplitude.save_calibration(args.out, c, grid, args.seed)
+        return None, f"c={c!r}"
+    row = {"c": c, "grid": grid, "trials_per_cell": args.trials, "seed": args.seed}
+    return harness.render_csv("calibrate", list(row), [row], {}), f"c={c!r}"
 
 
-def cmd_lb_collision(args) -> int:
+def _lb_collision(args):
     rng = np.random.default_rng(args.seed)
-    from .distributions import distribution_of, l1_distance
+    two_to_one = args.kind == lowerbounds.TWO_TO_ONE
+    cf = lowerbounds.CollisionFunction
+    make = cf.two_to_one if two_to_one else cf.one_to_one
 
-    rows = []
-    below = 0
-    for t in range(args.trials):
-        if args.kind == lowerbounds.TWO_TO_ONE:
-            h = lowerbounds.CollisionFunction.two_to_one(args.n, rng)
-        else:
-            h = lowerbounds.CollisionFunction.one_to_one(args.n, rng)
+    def trial():
+        h = make(args.n, rng)
         sigma = rng.permutation(args.n)
         op, oq = lowerbounds.build_collision_oracles(h, sigma)
-        dist = l1_distance(distribution_of(op), distribution_of(oq))
-        if h.kind == lowerbounds.TWO_TO_ONE:
-            formula = lowerbounds.matching_parity_distance(h, sigma)
-        else:
-            formula = 2.0
-        below += dist <= 1.75
-        rows.append(
-            {"trial": t, "distance": dist, "parity_formula": formula, "agrees": dist == formula}
+        dist = distributions.l1_distance(
+            distributions.distribution_of(op), distributions.distribution_of(oq)
         )
-    meta = {"n": args.n, "kind": args.kind, "seed": args.seed, "frac_below_7_4": below / max(1, args.trials)}
-    _emit(args, "lb-collision", ["trial", "distance", "parity_formula", "agrees"], rows, meta)
-    return 0
+        formula = lowerbounds.matching_parity_distance(h, sigma) if two_to_one else 2.0
+        return {"distance": dist, "parity_formula": formula, "agrees": dist == formula}
+
+    rows = _trials(args, trial)
+    below = sum(r["distance"] <= 1.75 for r in rows)
+    meta = {"n": args.n, "kind": args.kind, "frac_below_7_4": below / args.trials}
+    return (["trial", "distance", "parity_formula", "agrees"], rows, meta), None
 
 
-def cmd_lb_fingerprint(args) -> int:
+def _lb_fingerprint(args):
     rng = np.random.default_rng(args.seed)
-    from .distributions import half_support, uniform
-
-    u = uniform(args.n)
-    p = half_support(args.n)
+    tv = lowerbounds.empirical_fingerprint_tv
+    u = distributions.uniform(args.n)
+    p = distributions.half_support(args.n)
     m = args.m if args.m is not None else 2.0**-5 * math.sqrt(args.n) * 5
     delta = max(args.delta, p.max_weight * m * 1.0000001)
-    bound = lowerbounds.valiant_bound(p, m, delta)
-    tv_uu = lowerbounds.empirical_fingerprint_tv(u, u, m, args.trials, rng)
-    tv_pu = lowerbounds.empirical_fingerprint_tv(p, u, m, args.trials, rng)
-    rows = [
-        {"quantity": "rate_parameter", "value": m},
-        {"quantity": "delta", "value": delta},
-        {"quantity": "valiant_bound_half_support", "value": bound},
-        {"quantity": "tv_uniform_vs_uniform", "value": tv_uu},
-        {"quantity": "tv_half_support_vs_uniform", "value": tv_pu},
-    ]
-    meta = {"n": args.n, "trials": args.trials, "seed": args.seed}
-    _emit(args, "lb-fingerprint", ["quantity", "value"], rows, meta)
-    return 0
+    values = {
+        "rate_parameter": m,
+        "delta": delta,
+        "valiant_bound_half_support": lowerbounds.valiant_bound(p, m, delta),
+        "tv_uniform_vs_uniform": tv(u, u, m, args.trials, rng),
+        "tv_half_support_vs_uniform": tv(p, u, m, args.trials, rng),
+    }
+    rows = [{"quantity": q, "value": v} for q, v in values.items()]
+    return (["quantity", "value"], rows, {"n": args.n, "trials": args.trials}), None
 
 
-def cmd_corollary(args) -> int:
-    report = lowerbounds.corollary_report(args.n, args.a, args.delta)
-    text = report.render()
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+def _corollary(args):
+    return lowerbounds.corollary_report(args.n, args.a, args.delta).render(), None
 
 
 # ---------------------------------------------------------------------------
-# parser plumbing
+# the table and its runner
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One subcommand.  ``trials`` is the default ``--trials``; ``None``
+    means the subcommand takes no ``--seed`` or ``--trials``."""
+
+    help: str
+    flags: list
+    trials: int | None
+    run: Callable
+
+
+EXPERIMENTS = {
+    "estprob": Experiment("probability-estimation coverage experiment", [
+        _flag("--pa", type=float, default=0.25, help="true target mass"),
+        _flag("--delta", type=float, default=0.05),
+        _flag("--omega", type=float, default=0.1),
+        _count("--m", help="override query count"),
+        _flag("--c", type=float, default=None, help="override estimation constant"),
+    ], 100, _estprob),
+    "estdist": Experiment("L1-distance estimator experiment", [
+        _n(1000), _pair("overlapping"), EPS, _flag("--tau", type=float, default=1 / 3), MODE,
+        _count("--samples", help="mixture sample count"),
+        _count("--m-inner", help="inner estimation queries"),
+    ], 50, _estdist),
+    "uniformity": Experiment("quantum uniformity tester experiment", [
+        _n(100000), INSTANCE, EPS, MODE, SAMPLES, K, _count("--repeats"),
+        _flag("--instance-file", help="load the oracle from a plain-text instance file"),
+        _flag("--save-instance", help="write the oracle as a plain-text instance file"),
+    ], 200, _uniformity),
+    "orthogonality": Experiment("quantum orthogonality tester experiment", [
+        _n(1000), _pair("disjoint"), EPS, SAMPLES, K, _flag("--rounds", type=int, default=8),
+    ], 200, _orthogonality),
+    "baseline-uniformity": Experiment("classical collision-count tester", [
+        _n(10000), INSTANCE, EPS, SAMPLES,
+    ], 200, _baseline_uniformity),
+    "baseline-statdiff": Experiment("classical plug-in distance estimator", [
+        _n(1000), _pair("overlapping"), EPS, SAMPLES,
+    ], 50, _baseline_statdiff),
+    "baseline-orthogonality": Experiment("classical cross-collision finder", [
+        _n(1000), _pair("disjoint"), EPS, SAMPLES,
+    ], 200, _baseline_orthogonality),
+    "scaling": Experiment("query-complexity scaling study with log-log fit", [
+        _flag("--tester", choices=sorted(harness._SCALING_TESTERS), default="uniformity"),
+        _flag("--n-values", default="1000,10000,100000,1000000"),
+        EPS,
+        _flag("--target-error", type=float, default=harness.DEFAULT_TARGET_ERROR),
+    ], 50, _scaling),
+    "calibrate": Experiment("calibrate the estimation constant", [], 2000, _calibrate),
+    "lb-collision": Experiment("collision-reduction distance statistics", [
+        _n(1024),
+        _flag("--kind", choices=[lowerbounds.ONE_TO_ONE, lowerbounds.TWO_TO_ONE],
+              default=lowerbounds.TWO_TO_ONE),
+    ], 1000, _lb_collision),
+    "lb-fingerprint": Experiment("Poissonized fingerprint statistics", [
+        _n(100),
+        _flag("--m", type=float, default=None, help="Poisson rate parameter"),
+        _flag("--delta", type=float, default=0.05),
+    ], 10000, _lb_fingerprint),
+    "corollary": Experiment("untestability arithmetic certificate", [
+        _n(10**6), _flag("--a", type=int, default=5), _flag("--delta", type=float, default=1e-4),
+    ], None, _corollary),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,115 +381,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum and classical distribution property testing experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("estprob", help="probability-estimation coverage experiment")
-    p.add_argument("--pa", type=float, default=0.25, help="true target mass")
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--omega", type=float, default=0.1)
-    p.add_argument("--m", type=int, default=None, help="override query count")
-    p.add_argument("--c", type=float, default=None, help="override estimation constant")
-    _add_common(p)
-    p.set_defaults(func=cmd_estprob)
-
-    p = sub.add_parser("estdist", help="L1-distance estimator experiment")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--pair", choices=["identical", "disjoint", "overlapping"], default="overlapping")
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--tau", type=float, default=1 / 3)
-    p.add_argument("--mode", choices=["paper", "practical"], default="practical")
-    p.add_argument("--samples", type=int, default=None, help="mixture sample count")
-    p.add_argument("--m-inner", type=int, default=None, help="inner estimation queries")
-    _add_common(p, trials_default=50)
-    p.set_defaults(func=cmd_estdist)
-
-    p = sub.add_parser("uniformity", help="quantum uniformity tester experiment")
-    p.add_argument("--n", type=int, default=100000)
-    p.add_argument("--instance", choices=["uniform", "biased", "half_support"], default="uniform")
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--mode", choices=["paper", "practical"], default="practical")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--instance-file", default=None,
-                   help="load the oracle from a plain-text instance file")
-    p.add_argument("--save-instance", default=None,
-                   help="write the oracle as a plain-text instance file")
-    _add_common(p, trials_default=200)
-    p.set_defaults(func=cmd_uniformity)
-
-    p = sub.add_parser("orthogonality", help="quantum orthogonality tester experiment")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--pair", choices=["identical", "disjoint", "overlapping"], default="disjoint")
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--rounds", type=int, default=8)
-    _add_common(p, trials_default=200)
-    p.set_defaults(func=cmd_orthogonality)
-
-    p = sub.add_parser("baseline-uniformity", help="classical collision-count tester")
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--instance", choices=["uniform", "biased", "half_support"], default="uniform")
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--samples", type=int, default=None)
-    _add_common(p, trials_default=200)
-    p.set_defaults(func=cmd_baseline_uniformity)
-
-    p = sub.add_parser("baseline-statdiff", help="classical plug-in distance estimator")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--pair", choices=["identical", "disjoint", "overlapping"], default="overlapping")
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--samples", type=int, default=None)
-    _add_common(p, trials_default=50)
-    p.set_defaults(func=cmd_baseline_statdiff)
-
-    p = sub.add_parser("baseline-orthogonality", help="classical cross-collision finder")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--pair", choices=["identical", "disjoint", "overlapping"], default="disjoint")
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--samples", type=int, default=None)
-    _add_common(p, trials_default=200)
-    p.set_defaults(func=cmd_baseline_orthogonality)
-
-    p = sub.add_parser("scaling", help="query-complexity scaling study with log-log fit")
-    p.add_argument(
-        "--tester",
-        choices=sorted(harness._SCALING_TESTERS),
-        default="uniformity",
-    )
-    p.add_argument("--n-values", default="1000,10000,100000,1000000")
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--target-error", type=float, default=harness.DEFAULT_TARGET_ERROR)
-    _add_common(p, trials_default=50)
-    p.set_defaults(func=cmd_scaling)
-
-    p = sub.add_parser("calibrate", help="calibrate the estimation constant")
-    _add_common(p, trials_default=2000)
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("lb-collision", help="collision-reduction distance statistics")
-    p.add_argument("--n", type=int, default=1024)
-    p.add_argument("--kind", choices=[lowerbounds.ONE_TO_ONE, lowerbounds.TWO_TO_ONE],
-                   default=lowerbounds.TWO_TO_ONE)
-    _add_common(p, trials_default=1000)
-    p.set_defaults(func=cmd_lb_collision)
-
-    p = sub.add_parser("lb-fingerprint", help="Poissonized fingerprint statistics")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--m", type=float, default=None, help="Poisson rate parameter")
-    p.add_argument("--delta", type=float, default=0.05)
-    _add_common(p, trials_default=10000)
-    p.set_defaults(func=cmd_lb_fingerprint)
-
-    p = sub.add_parser("corollary", help="untestability arithmetic certificate")
-    p.add_argument("--n", type=int, default=10**6)
-    p.add_argument("--a", type=int, default=5)
-    p.add_argument("--delta", type=float, default=1e-4)
-    p.add_argument("--out", default=None)
-    p.add_argument("--spec", default=None)
-    p.set_defaults(func=cmd_corollary)
-
+    for name, exp in EXPERIMENTS.items():
+        p = sub.add_parser(name, help=exp.help)
+        seeded = [
+            _flag("--seed", type=int, default=0, help="experiment seed"),
+            _count("--trials", exp.trials, "trial count"),
+        ] if exp.trials else []
+        for flag, kw in [*exp.flags, *seeded, *OUTPUT]:
+            p.add_argument(flag, **kw)
     return parser
+
+
+def run(args) -> int:
+    """Run the parsed subcommand: its output goes to ``--out`` (default:
+    stdout) and its summary line, if any, to stderr."""
+    output, note = EXPERIMENTS[args.command].run(args)
+    if isinstance(output, tuple):
+        columns, rows, meta = output
+        output = harness.render_csv(args.command, columns, rows, {**meta, "seed": args.seed})
+    if output is not None:
+        if args.out:
+            with open(args.out, "w", newline="\n") as fh:
+                fh.write(output)
+        else:
+            sys.stdout.write(output)
+    if note is not None:
+        print(note, file=sys.stderr)
+    return 0
 
 
 def _apply_spec_file(argv: list[str]) -> list[str]:
@@ -534,17 +438,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_spec_file(argv)
-        args = parser.parse_args(argv)
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
-    try:
-        return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+        return run(parser.parse_args(_apply_spec_file(argv)))
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except RuntimeError as exc:

@@ -118,19 +118,6 @@ class ScalingResult:
     slope: float
     slope_stderr: float
 
-    def csv_rows(self) -> list[dict]:
-        return [
-            {
-                "n": r.n,
-                "constant": r.constant,
-                "mean_queries": r.mean_queries,
-                "error_rate": r.error_rate,
-                "saturated": r.saturated,
-                "included_in_fit": r.included_in_fit,
-            }
-            for r in self.rows
-        ]
-
 
 def make_instance(name: str, n: int, eps, rng: np.random.Generator) -> OracleTable:
     """Single-distribution instances by name, realized as minimal-size oracles."""

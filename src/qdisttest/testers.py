@@ -175,6 +175,8 @@ class StatDiffParams:
             raise ValueError("epsilon must be positive")
         if not 0 < self.tau < 1:
             raise ValueError("tau must lie in (0, 1)")
+        if any(v is not None and v < 1 for v in (self.n, self.m_inner)):
+            raise ValueError("explicit n and m_inner must be positive")
 
     def sample_count(self) -> int:
         if self.n is not None:

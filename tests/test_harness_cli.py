@@ -1,7 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qdisttest.cli import main
+from qdisttest.cli import EXPERIMENTS, main
 from qdisttest.harness import (
     fit_loglog,
     make_instance,
@@ -248,8 +251,33 @@ def test_cli_instance_file_reproduces_runs_over_seeds(tmp_path):
 
 def test_cli_rejects_non_positive_counts():
     for argv in (["uniformity", "--samples", "0"], ["uniformity", "--k", "-1"],
-                 ["uniformity", "--repeats", "0"], ["orthogonality", "--k", "0"]):
+                 ["uniformity", "--repeats", "0"], ["orthogonality", "--k", "0"],
+                 ["baseline-uniformity", "--samples", "0"],
+                 ["baseline-statdiff", "--samples", "0"],
+                 ["baseline-orthogonality", "--samples", "0"],
+                 ["estdist", "--m-inner", "0"]):
         assert run_cli([*argv, "--n", "1000", "--trials", "1"]) == 2, argv
+    assert run_cli(["estprob", "--m", "0", "--trials", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["estprob", "--trials", "0"],
+    ["estdist", "--n", "100", "--samples", "0", "--trials", "1"],
+    ["baseline-uniformity", "--n", "100", "--eps", "0", "--trials", "1"],
+    ["uniformity", "--n", "1000", "--trials", "-3"],
+    ["calibrate", "--trials", "0"],
+    ["scaling", "--trials", "0"],
+    ["lb-collision", "--trials", "0"],
+])
+def test_cli_invalid_counts_are_config_errors(argv, capsys):
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_readme_lists_every_subcommand():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = readme.split("Subcommands:", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`([a-z-]+)`", listed) == list(EXPERIMENTS)
 
 
 def test_cli_estprob_coverage(tmp_path, capsys):

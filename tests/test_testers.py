@@ -189,6 +189,10 @@ def test_params_keep_explicit_values_and_reject_non_positive_counts():
     for field in ("m_samples", "k_queries"):
         with pytest.raises(ValueError, match="must be positive"):
             OrthogonalityParams(epsilon=0.5, **{field: 0})
+    assert StatDiffParams(n=1, m_inner=1).sample_count() == 1
+    for field in ("n", "m_inner"):
+        with pytest.raises(ValueError, match="must be positive"):
+            StatDiffParams(**{field: 0})
 
 
 def test_uniformity_paper_mode_unrunnable_raises():
