@@ -10,8 +10,11 @@ and each contributes a Fejer-type kernel around its grid position.
 :func:`est_prob` samples that law exactly, with no state vector, at a cost
 per draw that does not grow with m: an inverse CDF over a few offsets
 around the branch's grid position, then rejection from a Jordan-inequality
-envelope for the tails.  :func:`ae_outcome_pmf` materializes the whole law
-in O(m) time and memory; it is the reference the sampler is tested against.
+envelope for the tails.  :func:`est_probs` draws the singleton estimates of
+many elements under several oracles in one call, through the same sampler and
+in the same order as the matching sequence of :func:`est_prob` calls.
+:func:`ae_outcome_pmf` materializes the whole law in O(m) time and memory; it
+is the reference the sampler is tested against.
 
 A dense unitary simulator of the full network (:func:`unitary_reference_pmf`)
 exists purely as an independent correctness oracle for small instances.
@@ -40,6 +43,7 @@ __all__ = [
     "ae_outcome_pmf",
     "unitary_reference_pmf",
     "est_prob",
+    "est_probs",
     "coverage_probability",
     "queries_for",
     "calibrate_constant",
@@ -282,6 +286,48 @@ def est_prob(
         m=m,
         target_set_mass=a,
     )
+
+
+def est_probs(
+    oracles,
+    elements,
+    m: int,
+    rng: np.random.Generator,
+    ledgers=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Singleton estimates of every element under every oracle, ``m`` applications each.
+
+    Returns ``(outcomes, estimates)``, two arrays of shape
+    ``(len(elements), len(oracles))``.  Draws element-major (element 0 under
+    each oracle in turn, then element 1, ...), so the outcomes, the estimates
+    and the generator's final state are those of the matching sequence of
+    ``est_prob(oracle, (element,), m, rng, ledger)`` calls.  Charges
+    ``m * len(elements)`` quantum applications to each oracle's ledger.
+    """
+    m = int(m)
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    n = oracles[0].n
+    if any(o.n != n for o in oracles):
+        raise ValueError("oracles must share a support size")
+    idx = np.asarray(elements, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError("target elements must lie in [0, n)")
+    masses = []
+    for o in oracles:
+        dist = o.distribution()
+        masses.append([c / dist.denominator for c in dist.counts[idx].tolist()])
+    outcomes = []
+    estimates = []
+    for element_masses in zip(*masses):
+        for a in element_masses:
+            y = _sample_outcome(a, m, rng)
+            outcomes.append(y)
+            estimates.append(math.sin(math.pi * y / m) ** 2)
+    for ledger in ledgers or ():
+        ledger.add_quantum(m * idx.size)
+    shape = (idx.size, len(oracles))
+    return np.array(outcomes, dtype=np.int64).reshape(shape), np.array(estimates).reshape(shape)
 
 
 def coverage_probability(a: float, delta: float, m: int) -> float:

@@ -128,12 +128,12 @@ def _estprob(args):
     oracle = distributions.make_oracle(dist, frac, rng)
     m = args.m or amplitude.queries_for(args.delta, args.omega, args.pa, args.c)
 
-    def trial():
-        pe = amplitude.est_prob(oracle, (0,), m, rng)
-        within = abs(pe.estimate - args.pa) <= args.delta
-        return {"y": pe.raw_outcome, "estimate": pe.estimate, "within": within}
-
-    rows = _trials(args, trial)
+    targets = np.zeros(args.trials, dtype=np.int64)  # every trial estimates element 0
+    outcomes, estimates = amplitude.est_probs((oracle,), targets, m, rng)
+    rows = [
+        {"trial": t, "y": y, "estimate": e, "within": abs(e - args.pa) <= args.delta}
+        for t, (y, e) in enumerate(zip(outcomes[:, 0].tolist(), estimates[:, 0].tolist()))
+    ]
     c = amplitude.DEFAULT_C if args.c is None else args.c
     meta = {"pa": args.pa, "delta": args.delta, "omega": args.omega, "m": m, "c": c}
     coverage = sum(r["within"] for r in rows) / args.trials

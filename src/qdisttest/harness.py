@@ -234,11 +234,15 @@ def run_scaling(
 
     Raises
     ------
+    ValueError
+        If the tester is unknown or ``target_error`` is not in [0, 1).
     RuntimeError
         If no sweep value meets the target at some ``n``.
     """
     if tester not in _SCALING_TESTERS:
         raise ValueError(f"unknown scaling tester {tester!r}")
+    if not 0 <= target_error < 1:  # also rejects NaN
+        raise ValueError("target error must lie in [0, 1)")
     trial_fn, default_sweep, classical = _SCALING_TESTERS[tester]
     sweep = tuple(sweep) if sweep is not None else default_sweep
     n_values = [int(n) for n in n_values]

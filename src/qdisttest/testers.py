@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import DEFAULT_C, est_prob
+from .amplitude import DEFAULT_C, est_prob, est_probs
 from .distributions import (
     OracleTable,
     QueryLedger,
@@ -205,8 +205,9 @@ def est_dist(
     Draws elements from the even mixture of the two distributions (a fair
     coin decides which oracle supplies each classical sample, and that
     oracle's ledger is charged for it), estimates both singleton masses for
-    each drawn element, and averages the contrasts ``|p~ - q~| / (p~ + q~)``.
-    Every term lies in [0, 1], hence so does the output.
+    each drawn element in one :func:`~qdisttest.amplitude.est_probs` batch,
+    and averages the contrasts ``|p~ - q~| / (p~ + q~)``.  Every term lies in
+    [0, 1], hence so does the output.
 
     If both singleton estimates are zero the term is defined as 0.  (A drawn
     element always has positive mixture mass, but the estimator can still
@@ -224,15 +225,14 @@ def est_dist(
     elements[~from_q] = classical_samples(op, n_samples - n_q, rng, ledgers["p"])
     elements[from_q] = classical_samples(oq, n_q, rng, ledgers["q"])
 
+    _, estimates = est_probs((op, oq), elements, m_inner, rng, (ledgers["p"], ledgers["q"]))
     terms: list[TermRecord] = []
     total = 0.0
-    for a, i in enumerate(elements.tolist()):
-        pe = est_prob(op, (i,), m_inner, rng, ledgers["p"])
-        qe = est_prob(oq, (i,), m_inner, rng, ledgers["q"])
-        denom = pe.estimate + qe.estimate
-        term = abs(pe.estimate - qe.estimate) / denom if denom > 0 else 0.0
+    for a, (i, (p, q)) in enumerate(zip(elements.tolist(), estimates.tolist())):
+        denom = p + q
+        term = abs(p - q) / denom if denom > 0 else 0.0
         total += term
-        terms.append(TermRecord(a, i, pe.estimate, qe.estimate, term))
+        terms.append(TermRecord(a, i, p, q, term))
     return DistanceEstimate(
         estimate=total / n_samples,
         terms=terms,

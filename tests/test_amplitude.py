@@ -11,6 +11,7 @@ from qdisttest.amplitude import (
     calibrate_constant,
     coverage_probability,
     est_prob,
+    est_probs,
     load_calibration,
     queries_for,
     save_calibration,
@@ -239,6 +240,46 @@ def test_est_prob_at_m_beyond_any_materializable_law():
         assert 0 <= pe.raw_outcome < m
         assert pe.estimate == pytest.approx(pe.target_set_mass, abs=1e-6)
     assert ledger.quantum_applications == 3 * m
+
+
+# est_probs
+
+
+def test_est_probs_matches_est_prob_draw_for_draw():
+    # Masses 0.013, 1/2, 0, 0.487 under op and 0, 0, 1, 0 under oq: aligned
+    # at m = 4 (0, 1/2 and 1), generic, zero and repeated elements.
+    op = make_oracle(Distribution(np.array([13, 500, 0, 487]), 1000), 1000, seed=0)
+    oq = make_oracle(Distribution(np.array([0, 0, 1000, 0]), 1000), 1000, seed=1)
+    elements = np.array([0, 1, 2, 3, 1, 1, 2, 0])
+    for m in (1, 2, 4, 997, 200000, 2**33):
+        batch_rng, single_rng = np.random.default_rng(44), np.random.default_rng(44)
+        ledgers = (QueryLedger(), QueryLedger())
+        outcomes, estimates = est_probs((op, oq), elements, m, batch_rng, ledgers)
+        singles = [[est_prob(o, (e,), m, single_rng) for o in (op, oq)] for e in elements.tolist()]
+        assert outcomes.tolist() == [[pe.raw_outcome for pe in row] for row in singles], m
+        assert estimates.tolist() == [[pe.estimate for pe in row] for row in singles], m
+        assert batch_rng.bit_generator.state == single_rng.bit_generator.state, m
+        assert [l.quantum_applications for l in ledgers] == [m * elements.size] * 2
+
+
+def test_est_probs_rejects_elements_outside_the_domain_and_mismatched_oracles():
+    o = make_oracle(uniform(4), 4, seed=0)
+    rng = np.random.default_rng(6)
+    for elements in ([4], [-1], np.array([0, 4]), np.array([2, -1])):
+        with pytest.raises(ValueError, match="lie in"):
+            est_probs((o,), elements, 8, rng)
+    with pytest.raises(ValueError, match="support size"):
+        est_probs((o, make_oracle(uniform(5), 5, seed=0)), [0], 8, rng)
+
+
+def test_est_probs_of_no_elements_draws_and_charges_nothing():
+    o = make_oracle(uniform(4), 4, seed=0)
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    ledger = QueryLedger()
+    outcomes, estimates = est_probs((o, o), [], 8, rng, (ledger, ledger))
+    assert outcomes.shape == estimates.shape == (0, 2)
+    assert ledger.total == 0 and rng.bit_generator.state == state
 
 
 def test_est_prob_coverage_contract():

@@ -268,6 +268,10 @@ def test_cli_rejects_non_positive_counts():
     ["calibrate", "--trials", "0"],
     ["scaling", "--trials", "0"],
     ["lb-collision", "--trials", "0"],
+    ["scaling", "--tester", "uniformity", "--target-error", "-1", "--trials", "1",
+     "--n-values", "1e2,1e3,1e4,1e5"],
+    ["scaling", "--tester", "uniformity", "--target-error", "nan", "--trials", "1",
+     "--n-values", "1e2,1e3,1e4,1e5"],
 ])
 def test_cli_invalid_counts_are_config_errors(argv, capsys):
     assert run_cli(argv) == 2
