@@ -27,13 +27,13 @@ params = StatDiffParams(mode="practical")
 print(f"=== quantum distance estimation at n={n} ===")
 u = uniform(n)
 pairs = {
-    0.0: (make_oracle(u, n, rng), make_oracle(u, n, rng)),
+    0.0: (make_oracle(u, n), make_oracle(u, n)),
 }
 for eps, d in ((1.5, 0.5), (0.5, 1.5)):
     p, q = overlapping_pair(n, eps)
-    pairs[d] = (make_oracle(p, p.denominator, rng), make_oracle(q, q.denominator, rng))
+    pairs[d] = (make_oracle(p, p.denominator), make_oracle(q, q.denominator))
 p, q = disjoint_pair(n)
-pairs[2.0] = (make_oracle(p, p.denominator, rng), make_oracle(q, q.denominator, rng))
+pairs[2.0] = (make_oracle(p, p.denominator), make_oracle(q, q.denominator))
 
 for d, (op, oq) in sorted(pairs.items()):
     estimates = [est_dist(op, oq, params, rng).estimate for _ in range(20)]

@@ -26,15 +26,15 @@ m, k, thr = params.resolved(n)
 print(f"n={n}, eps={eps}: M={m} samples, K={k} rotations, reject at {thr:.2e}")
 
 p, q = disjoint_pair(n)
-op = make_oracle(p, p.denominator, rng)
-oq = make_oracle(q, q.denominator, rng)
+op = make_oracle(p, p.denominator)
+oq = make_oracle(q, q.denominator)
 print("\ndisjoint pair, 20000 single rounds ...")
 rejections = sum(otest(op, oq, params, rng).decision == "reject" for _ in range(20000))
 print(f"false rejections: {rejections} (one-sided by construction)")
 
 p, q = overlapping_pair(n, eps)
-op = make_oracle(p, p.denominator, rng)
-oq = make_oracle(q, q.denominator, rng)
+op = make_oracle(p, p.denominator)
+oq = make_oracle(q, q.denominator)
 single = sum(otest(op, oq, params, rng).decision == "reject" for _ in range(500)) / 500
 print(f"\noverlapping pair at distance {2 - eps}: single-round rejection {single:.3f}")
 

@@ -52,7 +52,7 @@ print(f"query budget m = {m}; exact coverage = {coverage_probability(pa, delta, 
 
 counts = np.zeros(4, dtype=np.int64)
 counts[0], counts[1] = 1, 3
-oracle = make_oracle(Distribution(counts, 4), 4, rng)
+oracle = make_oracle(Distribution(counts, 4), 4)
 hits = sum(abs(est_prob(oracle, (0,), m, rng).estimate - pa) <= delta for _ in range(5000))
 print(f"empirical coverage over 5000 runs: {hits / 5000:.4f} (contract: >= {1 - omega})")
 

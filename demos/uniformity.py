@@ -27,9 +27,9 @@ m, k, l, thr = params.resolved(n)
 print(f"n={n}, eps={eps}: per round M={m} samples, K={k} rotations, "
       f"L={l} round(s), reject above {thr:.2e}")
 
-ou = make_oracle(uniform(n), n, rng)
+ou = make_oracle(uniform(n), n)
 p, _ = biased_pair(n, eps)
-ob = make_oracle(p, p.denominator, rng)
+ob = make_oracle(p, p.denominator)
 
 trials = 100
 acc = sum(uniformity_test(ou, params, rng).decision == "accept" for _ in range(trials))

@@ -76,4 +76,4 @@ from .testers import (
     utest,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -89,8 +89,13 @@ def classical_statdiff_plugin(
     m = int(m)
     if m < 1:
         raise ValueError("need at least one sample")
-    hp = np.bincount(classical_samples(op, m, rng, ledger_p), minlength=op.n)
-    hq = np.bincount(classical_samples(oq, m, rng, ledger_q), minlength=oq.n)
+    sp = classical_samples(op, m, rng, ledger_p)
+    sq = classical_samples(oq, m, rng, ledger_q)
+    cells = op.n
+    if 16 * m < cells:  # few draws: count the values seen, not all n cells
+        seen, idx = np.unique(np.concatenate((sp, sq)), return_inverse=True)
+        sp, sq, cells = idx[:m], idx[m:], seen.size
+    hp, hq = np.bincount(sp, minlength=cells), np.bincount(sq, minlength=cells)
     # Integer counts keep the sum exact; one division rounds once.
     return int(np.abs(hp - hq).sum()) / (2 * m)
 

@@ -109,7 +109,7 @@ def _decisions(args, positive: str, trial):
 
 def _pair_instance(args):
     rng = np.random.default_rng(args.seed)
-    return (rng, *harness.make_instance_pair(args.pair, args.n, args.eps, rng))
+    return (rng, *harness.make_instance_pair(args.pair, args.n, args.eps))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,7 @@ def _estprob(args):
     if abs(count / frac - args.pa) > 1e-12:
         raise ValueError("--pa must be a multiple of 0.001 so the oracle is exact")
     dist = distributions.Distribution(np.array([count, frac - count], dtype=np.int64), frac)
-    oracle = distributions.make_oracle(dist, frac, rng)
+    oracle = distributions.make_oracle(dist, frac)
     m = args.m or amplitude.queries_for(args.delta, args.omega, args.pa, args.c)
 
     targets = np.zeros(args.trials, dtype=np.int64)  # every trial estimates element 0
@@ -155,15 +155,13 @@ def _estdist(args):
 
 
 def _uniformity(args):
-    # The instance has its own stream, so a saved instance reloaded with
-    # --instance-file leaves the trials' stream, and hence the rows, as they were.
-    instance_rng, rng = harness.spawn_rngs(args.seed, 2)
+    rng = np.random.default_rng(args.seed)
     if args.instance_file:
         oracle, kind = distributions.load_oracle(args.instance_file)
         args.n = oracle.n
     else:
         kind = args.instance
-        oracle = harness.make_instance(kind, args.n, args.eps, instance_rng)
+        oracle = harness.make_instance(kind, args.n, args.eps)
     if args.save_instance:
         distributions.save_oracle(oracle, args.save_instance, kind=kind)
     params = testers.UniformityParams(
@@ -198,7 +196,7 @@ def _baseline_uniformity(args):
     if args.eps <= 0:
         raise ValueError("eps must be positive")
     rng = np.random.default_rng(args.seed)
-    oracle = harness.make_instance(args.instance, args.n, args.eps, rng)
+    oracle = harness.make_instance(args.instance, args.n, args.eps)
     m = args.samples or max(2, math.ceil(4.0 * math.sqrt(args.n) / args.eps**2))
 
     def trial():
@@ -375,7 +373,8 @@ EXPERIMENTS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Every subcommand with its help, but flags only on ``command``, which parses."""
     parser = argparse.ArgumentParser(
         prog="qdisttest",
         description="Quantum and classical distribution property testing experiments",
@@ -383,6 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, exp in EXPERIMENTS.items():
         p = sub.add_parser(name, help=exp.help)
+        if name != command:
+            continue
         seeded = [
             _flag("--seed", type=int, default=0, help="experiment seed"),
             _count("--trials", exp.trials, "trial count"),
@@ -436,9 +437,10 @@ def _apply_spec_file(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        return run(parser.parse_args(_apply_spec_file(argv)))
+        argv = _apply_spec_file(argv)
+        command = next((a for a in argv if a in EXPERIMENTS), None)
+        return run(build_parser(command).parse_args(argv))
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR

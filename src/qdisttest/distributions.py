@@ -4,9 +4,10 @@ A distribution on ``{0, ..., n-1}`` is stored as a vector of non-negative
 integer counts over a common denominator ``s``, so every weight is the exact
 rational ``counts[i] / s``.  An oracle is a plain lookup table ``[s] -> [n]``;
 drawing one classical sample means reading the table at a uniformly random
-input.  Distances and inner products are evaluated in exact integer
-arithmetic and only converted to float at the very end, which makes
-round-trips through :func:`make_oracle` / :func:`distribution_of` exact.
+input; :func:`make_oracle` lays tables out in element order, drawing nothing.
+Distances and inner products are evaluated in exact integer arithmetic and
+only converted to float at the very end, which makes round-trips through
+:func:`make_oracle` / :func:`distribution_of` exact.
 
 All stochastic helpers take an explicit :class:`numpy.random.Generator` and
 an optional :class:`QueryLedger`, so experiments are replayable and every
@@ -193,12 +194,13 @@ class OracleTable:
         return f"OracleTable(s={self.s}, n={self.n})"
 
 
-def make_oracle(p: Distribution, s: int, seed) -> OracleTable:
-    """Build a table of size ``s`` generating ``p``, with a seeded shuffle.
-
-    Every element ``i`` receives exactly ``p_i * s`` preimages; which inputs
-    land on which element is randomized so that callers exercise different
-    but equivalent tables for the same distribution.
+def make_oracle(p: Distribution, s: int, seed=None) -> OracleTable:
+    """Build a table of size ``s`` generating ``p``: ``p_i * s`` copies of each
+    ``i``, in element order.  Testers read tables only at uniformly random
+    inputs, so the layout is invisible to them; the oracle gets ``p`` (over
+    denominator ``s``) instead of counting its table.  ``seed`` is unused,
+    since nothing is drawn; it is kept for callers written for the shuffled
+    tables of 0.2.0 and earlier.
 
     Raises
     ------
@@ -208,28 +210,22 @@ def make_oracle(p: Distribution, s: int, seed) -> OracleTable:
     s = int(s)
     if s < 1:
         raise ValueError("oracle size must be a positive integer")
-    rng = np.random.default_rng(seed)
-    den = p.denominator
-    if p.n * den * s < _INT64_SAFE:
-        scaled = p.counts * s
-        if np.any(scaled % den):
+    dist = p
+    if s != p.denominator:
+        # p_i * s = counts_i / (den/g) * (s/g) with g = gcd(den, s): integral
+        # iff den/g divides counts_i, and no intermediate value exceeds s.
+        g = math.gcd(p.denominator, s)
+        step = p.denominator // g
+        if np.any(p.counts % step):
             raise ValueError(
-                f"every weight times s must be an integer (s={s}, denominator={den})"
+                f"every weight times s must be an integer (s={s}, denominator={p.denominator})"
             )
-        reps = scaled // den
-    else:
-        reps_list = []
-        for c in p.counts.tolist():
-            q, r = divmod(c * s, den)
-            if r:
-                raise ValueError(
-                    f"every weight times s must be an integer (s={s}, denominator={den})"
-                )
-            reps_list.append(q)
-        reps = np.asarray(reps_list, dtype=np.int64)
-    table = np.repeat(np.arange(p.n, dtype=np.int64), reps)
-    rng.shuffle(table)
-    return OracleTable(table, p.n)
+        dist = Distribution(p.counts // step * (s // g), s)
+    o = object.__new__(OracleTable)  # in range by construction: skip __init__'s scan
+    o.table = np.repeat(np.arange(p.n, dtype=np.int64), dist.counts)
+    o.table.flags.writeable = False
+    o.n, o._dist = p.n, dist
+    return o
 
 
 def distribution_of(o: OracleTable) -> Distribution:

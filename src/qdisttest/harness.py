@@ -42,7 +42,8 @@ CSV_SCHEMA_VERSION = "1"
 # How a seed's random stream is consumed (files without the key: stream 1).
 # Stream 2: the m-independent outcome sampler, batched est_dist mixture
 # draws, and the uniformity instance shuffled from its own child stream.
-RNG_STREAM = "2"
+# Stream 3: oracles are built in element order, drawing nothing.
+RNG_STREAM = "3"
 
 # Whole-run error targets and sweep grids for the scaling study.
 DEFAULT_TARGET_ERROR = 1 / 3
@@ -55,9 +56,7 @@ STATDIFF_SCALING_TOLERANCE = 0.15
 
 def _fmt(value) -> str:
     """Deterministic, round-trippable cell formatting."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -119,7 +118,7 @@ class ScalingResult:
     slope_stderr: float
 
 
-def make_instance(name: str, n: int, eps, rng: np.random.Generator) -> OracleTable:
+def make_instance(name: str, n: int, eps) -> OracleTable:
     """Single-distribution instances by name, realized as minimal-size oracles."""
     if name == "uniform":
         dist = uniform(n)
@@ -129,24 +128,22 @@ def make_instance(name: str, n: int, eps, rng: np.random.Generator) -> OracleTab
         dist, _ = biased_pair(n, eps)
     else:
         raise ValueError(f"unknown instance {name!r}")
-    return make_oracle(dist, dist.denominator, rng)
+    return make_oracle(dist, dist.denominator)
 
 
-def make_instance_pair(
-    name: str, n: int, eps, rng: np.random.Generator
-) -> tuple[OracleTable, OracleTable, float]:
+def make_instance_pair(name: str, n: int, eps) -> tuple[OracleTable, OracleTable, float]:
     """Pair instances by name; returns both oracles and their exact distance."""
     if name == "identical":
         u = uniform(n)
-        return make_oracle(u, n, rng), make_oracle(u, n, rng), 0.0
+        return make_oracle(u, n), make_oracle(u, n), 0.0
     if name == "disjoint":
         p, q = disjoint_pair(n)
     elif name == "overlapping":
         p, q = overlapping_pair(n, eps)
     else:
         raise ValueError(f"unknown instance pair {name!r}")
-    op = make_oracle(p, p.denominator, rng)
-    oq = make_oracle(q, q.denominator, rng)
+    op = make_oracle(p, p.denominator)
+    oq = make_oracle(q, q.denominator)
     return op, oq, l1_distance(p, q)
 
 
@@ -154,8 +151,8 @@ def _uniformity_trial(constant, n, eps, trials, rng, classical: bool):
     """Error rate and mean queries for one (n, constant) cell."""
     u = uniform(n)
     biased, _ = biased_pair(n, eps)
-    ou = make_oracle(u, n, rng)
-    ob = make_oracle(biased, biased.denominator, rng)
+    ou = make_oracle(u, n)
+    ob = make_oracle(biased, biased.denominator)
     base = n ** (1 / 3) / eps ** (4 / 3)
     wrong = 0
     queries = 0
@@ -182,8 +179,8 @@ def _statdiff_trial(constant, n, eps, trials, rng, classical: bool):
     distance-0 pair and a distance-1 overlapping pair."""
     del eps
     cases = [
-        make_instance_pair("identical", n, None, rng),
-        make_instance_pair("overlapping", n, 1, rng),
+        make_instance_pair("identical", n, None),
+        make_instance_pair("overlapping", n, 1),
     ]
     wrong = 0
     queries = 0

@@ -15,10 +15,12 @@ from qdisttest.distributions import (
     OracleTable,
     QueryLedger,
     biased_pair,
+    classical_samples,
     disjoint_pair,
     half_support,
     inner_product,
     make_oracle,
+    overlapping_pair,
     uniform,
 )
 
@@ -168,6 +170,21 @@ def test_plugin_disjoint_is_exactly_one():
     oq = make_oracle(q, q.denominator, np.random.default_rng(1))
     for seed in range(2200, 2250):
         assert classical_statdiff_plugin(op, oq, m, np.random.default_rng(seed)) == 1.0
+
+
+def test_plugin_equals_a_dense_recount_of_its_draws():
+    # 16 * m < n switches to histograms over the values seen; m = 100 is the
+    # first dense budget at n = 1600.
+    n = 1600
+    p, q = overlapping_pair(n, 1)
+    op, oq = make_oracle(p, p.denominator), make_oracle(q, q.denominator)
+    for m in (1, 20, 99, 100, 101, 400, 5000):
+        for seed in range(5):
+            est = classical_statdiff_plugin(op, oq, m, np.random.default_rng(seed))
+            same = np.random.default_rng(seed)
+            hp = np.bincount(classical_samples(op, m, same), minlength=n)
+            hq = np.bincount(classical_samples(oq, m, same), minlength=n)
+            assert est == int(np.abs(hp - hq).sum()) / (2 * m)
 
 
 def test_plugin_spurious_at_small_budgets():

@@ -77,12 +77,27 @@ def test_make_oracle_half_support_counts():
     assert counts[4:].tolist() == [0, 0, 0, 0]
 
 
-def test_make_oracle_seeds_change_table_not_distribution():
-    p, _ = biased_pair(16, 0.5)
-    o1 = make_oracle(p, 2 * p.denominator, seed=1)
-    o2 = make_oracle(p, 2 * p.denominator, seed=2)
-    assert not np.array_equal(o1.table, o2.table)
-    assert distribution_of(o1) == distribution_of(o2) == p
+def test_make_oracle_lays_out_elements_in_order_and_keeps_p():
+    p = Distribution([1, 0, 2, 1], 4)
+    o = make_oracle(p, 4)
+    assert o.table.tolist() == [0, 2, 2, 3]
+    assert o.distribution() is p  # s == denominator: p itself, no recount
+    # s = k * denominator: each element k times as often
+    o = make_oracle(p, 12)
+    assert o.table.tolist() == [0] * 3 + [2] * 6 + [3] * 3
+    assert o.distribution().denominator == 12 and o.distribution() == p
+    # gcd case: 2/8 and 6/8 of a table of 4
+    o = make_oracle(Distribution([2, 6], 8), 4)
+    assert o.table.tolist() == [0, 1, 1, 1]
+    assert o.distribution() == Distribution([1, 3], 4)
+    # a denominator near 2**61: every value the gcd form computes stays within s
+    o = make_oracle(Distribution([2**60, 2**60], 2**61), 4)
+    assert o.table.tolist() == [0, 0, 1, 1]
+    assert o.distribution() == Distribution([1, 1], 2)
+    with pytest.raises(ValueError, match="integer"):
+        make_oracle(Distribution([1, 2], 3), 4)
+    with pytest.raises(ValueError, match="integer"):
+        make_oracle(Distribution([2**60 + 1, 2**60 - 1], 2**61), 4)
 
 
 def test_make_oracle_divisibility_error():
@@ -106,6 +121,8 @@ def test_make_oracle_round_trip_exact(data):
     factor = data.draw(st.integers(1, 3))
     o = make_oracle(p, factor * den, seed=seed)
     assert distribution_of(o) == p
+    # the distribution handed to the oracle is the one its table generates
+    assert np.array_equal(np.bincount(o.table, minlength=n), o.distribution().counts)
 
 
 def test_permutation_invariance():

@@ -27,7 +27,7 @@ def test_render_csv_layout():
         {"seed": 7, "n": 10},
     )
     lines = text.splitlines()
-    assert lines[0] == "# qdisttest-csv schema=1 rng_stream=2 command=demo n=10 seed=7"
+    assert lines[0] == "# qdisttest-csv schema=1 rng_stream=3 command=demo n=10 seed=7"
     assert lines[1] == "trial,value"
     assert lines[2] == "0,0.5"
     assert text.endswith("\n")
@@ -62,15 +62,14 @@ def test_fit_loglog_preconditions():
 
 
 def test_make_instance_pair_distances():
-    rng = np.random.default_rng(0)
-    _, _, d0 = make_instance_pair("identical", 100, None, rng)
-    _, _, d2 = make_instance_pair("disjoint", 100, None, rng)
-    _, _, dm = make_instance_pair("overlapping", 100, 0.5, rng)
+    _, _, d0 = make_instance_pair("identical", 100, None)
+    _, _, d2 = make_instance_pair("disjoint", 100, None)
+    _, _, dm = make_instance_pair("overlapping", 100, 0.5)
     assert (d0, d2, dm) == (0.0, 2.0, 1.5)
     with pytest.raises(ValueError):
-        make_instance_pair("nope", 100, None, rng)
+        make_instance_pair("nope", 100, None)
     with pytest.raises(ValueError):
-        make_instance("nope", 100, None, rng)
+        make_instance("nope", 100, None)
 
 
 def test_run_scaling_small_quantum():
