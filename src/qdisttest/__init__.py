@@ -19,7 +19,6 @@ from .amplitude import (
     unitary_reference_pmf,
 )
 from .baselines import (
-    SamplingAdapter,
     classical_orthogonality_test,
     classical_statdiff_plugin,
     classical_uniformity_test,
@@ -66,11 +65,9 @@ from .testers import (
     StatDiffParams,
     TestVerdict,
     UniformityParams,
-    big_elements,
     est_dist,
     orthogonality_test,
     otest,
-    ratio_contrast,
     sampled_mass,
     uniformity_test,
     utest,

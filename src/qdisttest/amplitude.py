@@ -75,6 +75,8 @@ _RIGHT, _LEFT = 5, -4
 DEFAULT_C = 1.681792830507429
 DEFAULT_CALIBRATION_SEED = 20240801
 DEFAULT_CALIBRATION_TRIALS = 4000
+# Confidence of the binomial lower bound each calibration cell must clear.
+CALIBRATION_CONFIDENCE = 0.99
 
 
 def _fejer(delta: np.ndarray, m: int) -> np.ndarray:
@@ -113,14 +115,7 @@ def ae_outcome_pmf(a: float, m: int) -> np.ndarray:
     return pmf
 
 
-def unitary_reference_pmf(
-    o: OracleTable,
-    target,
-    m: int,
-    *,
-    s_cap: int = DENSE_S_CAP,
-    m_cap: int = DENSE_M_CAP,
-) -> np.ndarray:
+def unitary_reference_pmf(o: OracleTable, target, m: int) -> np.ndarray:
     """Outcome law from a dense simulation of the full estimation network.
 
     Builds the s-dimensional rotation operator explicitly (reflection about
@@ -131,10 +126,10 @@ def unitary_reference_pmf(
     intended as its independent test oracle.
     """
     m = int(m)
-    if o.s > s_cap:
-        raise ValueError(f"oracle size {o.s} exceeds dense-simulation cap {s_cap}")
-    if m > m_cap:
-        raise ValueError(f"m={m} exceeds dense-simulation cap {m_cap}")
+    if o.s > DENSE_S_CAP:
+        raise ValueError(f"oracle size {o.s} exceeds dense-simulation cap {DENSE_S_CAP}")
+    if m > DENSE_M_CAP:
+        raise ValueError(f"m={m} exceeds dense-simulation cap {DENSE_M_CAP}")
     if m < 1:
         raise ValueError("m must be a positive integer")
     target = np.asarray(list(target) if not isinstance(target, np.ndarray) else target,
@@ -347,15 +342,15 @@ def default_calibration_grid() -> list[tuple[float, float, float]]:
     return cells
 
 
-def _binomial_lcb(successes: int, trials: int, confidence: float) -> float:
+def _binomial_lcb(successes: int, trials: int) -> float:
     """One-sided lower confidence bound (Clopper-Pearson) on a success rate."""
     from scipy.stats import beta
 
     if successes <= 0:
         return 0.0
     if successes >= trials:
-        return float((1.0 - confidence) ** (1.0 / trials))
-    return float(beta.ppf(1.0 - confidence, successes, trials - successes + 1))
+        return float((1.0 - CALIBRATION_CONFIDENCE) ** (1.0 / trials))
+    return float(beta.ppf(1.0 - CALIBRATION_CONFIDENCE, successes, trials - successes + 1))
 
 
 def calibrate_constant(
@@ -364,7 +359,6 @@ def calibrate_constant(
     rng: np.random.Generator | None = None,
     *,
     sweep=None,
-    confidence: float = 0.99,
 ) -> float:
     """Smallest constant in a geometric sweep meeting the coverage contract.
 
@@ -391,7 +385,7 @@ def calibrate_constant(
         for a, delta, omega in grid:
             coverage = min(1.0, coverage_probability(a, delta, queries_for(delta, omega, a, c)))
             hits = int(rng.binomial(trials_per_cell, coverage))
-            if _binomial_lcb(hits, trials_per_cell, confidence) < 1.0 - omega:
+            if _binomial_lcb(hits, trials_per_cell) < 1.0 - omega:
                 break
         else:
             return float(c)

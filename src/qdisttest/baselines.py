@@ -1,6 +1,7 @@
-"""Classical testers and the adaptive-to-sampling adapter.
+"""Classical testers: the comparison curves for the quantum speedup experiments.
 
-These provide the comparison curves for the quantum speedup experiments.
+Each one draws i.i.d. samples; adaptivity gains nothing against a sampling
+oracle, because every query is a fresh table read at a uniformly random input.
 Sample budgets are calibrated empirically by the harness rather than taken
 from literature constants, so scaling comparisons run at matched error
 levels.
@@ -10,35 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import OracleTable, QueryLedger, classical_sample, classical_samples
+from .distributions import OracleTable, QueryLedger, classical_samples
 
 __all__ = [
-    "SamplingAdapter",
     "collision_pair_count",
     "classical_uniformity_test",
     "classical_statdiff_plugin",
     "classical_orthogonality_test",
 ]
-
-
-class SamplingAdapter:
-    """Answers every query with a fresh uniform-input table read.
-
-    Whatever input the caller asks for is ignored, so an adaptive caller sees
-    exactly the i.i.d. sample stream a black-box sampler would produce.  Each
-    answer costs one classical query on the ledger.
-    """
-
-    def __init__(self, oracle: OracleTable, ledger: QueryLedger | None = None):
-        self.oracle = oracle
-        self.ledger = ledger if ledger is not None else QueryLedger()
-
-    def query(self, rng: np.random.Generator, requested: int | None = None) -> int:
-        del requested  # adaptive choice carries no information here
-        return classical_sample(self.oracle, rng, self.ledger)
-
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        return classical_samples(self.oracle, size, rng, self.ledger)
 
 
 def collision_pair_count(samples) -> int:

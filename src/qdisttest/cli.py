@@ -193,8 +193,8 @@ def _orthogonality(args):
 
 
 def _baseline_uniformity(args):
-    if args.eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < args.eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     rng = np.random.default_rng(args.seed)
     oracle = harness.make_instance(args.instance, args.n, args.eps)
     m = args.samples or max(2, math.ceil(4.0 * math.sqrt(args.n) / args.eps**2))

@@ -124,9 +124,6 @@ class Distribution:
     def max_weight(self) -> float:
         return int(self.counts.max()) / self.denominator
 
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.counts)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Distribution):
             return NotImplemented
@@ -300,6 +297,8 @@ def _as_fraction(x, name: str = "epsilon") -> Fraction:
         return x
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
+    if not math.isfinite(float(x)):
+        raise ValueError(f"{name}={x!r} is not finite")
     f = Fraction(float(x)).limit_denominator(10**6)
     if abs(float(f) - float(x)) > 1e-12 * max(1.0, abs(float(x))):
         raise ValueError(f"{name}={x!r} does not admit a small-denominator rational")

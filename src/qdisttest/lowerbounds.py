@@ -40,6 +40,11 @@ __all__ = [
 ONE_TO_ONE = "one-to-one"
 TWO_TO_ONE = "two-to-one"
 
+# valiant_bound stops once a term falls below SERIES_TOL while decreasing,
+# and gives up after SERIES_CAP terms.
+SERIES_TOL = 1e-15
+SERIES_CAP = 500
+
 
 @dataclass(frozen=True)
 class CollisionFunction:
@@ -244,14 +249,7 @@ def sample_poissonized_fingerprint(
     return _fingerprint_from_multiplicities(occupation[occupation > 0])
 
 
-def valiant_bound(
-    p: Distribution,
-    m: float,
-    delta: float,
-    *,
-    term_tol: float = 1e-15,
-    max_terms: int = 500,
-) -> float:
+def valiant_bound(p: Distribution, m: float, delta: float) -> float:
     """Moment-series upper bound on the L1 distance between the Poissonized
     fingerprint distributions of ``p`` and of the uniform distribution:
 
@@ -259,12 +257,12 @@ def valiant_bound(
                                    / (floor(k/2)! * sqrt(1 + m^k m_k(p)))
 
     Requires ``max_i p_i <= delta / m``.  The series is truncated once terms
-    fall below ``term_tol`` while already decreasing; the factorial
+    fall below ``SERIES_TOL`` while already decreasing; the factorial
     denominators guarantee convergence for any admissible input.
     """
-    if m <= 0:
+    if not m > 0:  # written so that NaN fails too
         raise ValueError("rate parameter must be positive")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if p.max_weight > delta / m:
         raise ValueError(
@@ -275,7 +273,7 @@ def valiant_bound(
     total = 0.0
     prev = math.inf
     converged = False
-    for k in range(2, max_terms + 1):
+    for k in range(2, SERIES_CAP + 1):
         powers = base**k
         scaled_moment = float(powers.sum())
         # Elementwise difference so the uniform distribution cancels exactly;
@@ -283,12 +281,12 @@ def valiant_bound(
         diff = max(0.0, float((powers - ref**k).sum()))
         term = 10.0 * diff / (math.factorial(k // 2) * math.sqrt(1.0 + scaled_moment))
         total += term
-        if term < term_tol and term <= prev:
+        if term < SERIES_TOL and term <= prev:
             converged = True
             break
         prev = term
     if not converged:
-        raise RuntimeError("moment series did not converge within max_terms")
+        raise RuntimeError(f"moment series did not converge within {SERIES_CAP} terms")
     return 40.0 * delta + total
 
 

@@ -39,15 +39,12 @@ __all__ = [
     "OrthogonalityParams",
     "TestVerdict",
     "RoundRecord",
-    "TermRecord",
     "DistanceEstimate",
     "est_dist",
     "utest",
     "uniformity_test",
     "otest",
     "orthogonality_test",
-    "ratio_contrast",
-    "big_elements",
     "sampled_mass",
 ]
 
@@ -60,48 +57,16 @@ PRACTICAL_UNIFORMITY_REPEATS = 1
 PRACTICAL_UNIFORMITY_THRESHOLD_BUMP = 0.25  # threshold factor 1 + bump*eps^2
 
 
-def ratio_contrast(p: float, q: float) -> float:
-    """The contrast ``(p - q) / (p + q)`` for positive inputs.
-
-    Stable under relative perturbation: if both arguments move by at most
-    ``delta * (p + q)`` with ``delta <= 1/5``, the contrast moves by at most
-    ``5 * delta``.
-    """
-    return (p - q) / (p + q)
-
-
-@dataclass
-class TermRecord:
-    """One inner estimation step of the distance estimator."""
-
-    index: int
-    element: int
-    p_estimate: float
-    q_estimate: float
-    term: float
-
-
 @dataclass
 class DistanceEstimate:
-    """Distance-estimator output with full diagnostics."""
+    """Distance-estimator output: the estimate, the ``(n_samples, 2)`` array
+    of each drawn element's singleton estimates under p and q, the contrast
+    term of each row, and the two ledgers."""
 
     estimate: float
-    terms: list[TermRecord]
+    estimates: np.ndarray
+    terms: np.ndarray
     ledgers: dict[str, QueryLedger]
-    n_samples: int
-    m_inner: int
-
-    def diagnostics_rows(self) -> list[dict]:
-        return [
-            {
-                "round": t.index,
-                "element": t.element,
-                "p_estimate": t.p_estimate,
-                "q_estimate": t.q_estimate,
-                "statistic": t.term,
-            }
-            for t in self.terms
-        ]
 
 
 @dataclass
@@ -126,19 +91,6 @@ class TestVerdict:
     @property
     def total_queries(self) -> int:
         return sum(l.total for l in self.ledgers.values())
-
-    def diagnostics_rows(self) -> list[dict]:
-        return [
-            {
-                "round": r.index,
-                "collision": -1 if r.collision is None else int(r.collision),
-                "statistic": float("nan") if r.statistic is None else r.statistic,
-                "decision": r.decision,
-                "classical": r.classical_queries,
-                "quantum": r.quantum_queries,
-            }
-            for r in self.rounds
-        ]
 
 
 def _explicit(value, default):
@@ -226,20 +178,11 @@ def est_dist(
     elements[from_q] = classical_samples(oq, n_q, rng, ledgers["q"])
 
     _, estimates = est_probs((op, oq), elements, m_inner, rng, (ledgers["p"], ledgers["q"]))
-    terms: list[TermRecord] = []
-    total = 0.0
-    for a, (i, (p, q)) in enumerate(zip(elements.tolist(), estimates.tolist())):
-        denom = p + q
-        term = abs(p - q) / denom if denom > 0 else 0.0
-        total += term
-        terms.append(TermRecord(a, i, p, q, term))
-    return DistanceEstimate(
-        estimate=total / n_samples,
-        terms=terms,
-        ledgers=ledgers,
-        n_samples=n_samples,
-        m_inner=m_inner,
-    )
+    p, q = estimates.T
+    denom = p + q
+    terms = np.divide(np.abs(p - q), denom, out=np.zeros(n_samples), where=denom > 0)
+    # cumsum adds left to right; np.sum pairs terms and rounds differently.
+    return DistanceEstimate(float(np.cumsum(terms)[-1]) / n_samples, estimates, terms, ledgers)
 
 
 # ---------------------------------------------------------------------------
@@ -376,21 +319,6 @@ def uniformity_test(
             decision = "reject"
             break
     return TestVerdict(decision=decision, ledgers={"p": ledger}, rounds=rounds)
-
-
-def big_elements(p, m_samples: int) -> tuple[np.ndarray, float]:
-    """Indices with weight above ``1 / (2 M^2)`` and their total mass.
-
-    The comparison is done in exact integer arithmetic.
-    """
-    m_samples = int(m_samples)
-    if m_samples < 1:
-        raise ValueError("m_samples must be positive")
-    lhs = p.counts.astype(object) * (2 * m_samples * m_samples)
-    mask = lhs > p.denominator
-    idx = np.flatnonzero(mask)
-    w_big = int(p.counts[mask].sum()) / p.denominator
-    return idx, w_big
 
 
 def sampled_mass(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qdisttest.baselines import (
-    SamplingAdapter,
     classical_orthogonality_test,
     classical_statdiff_plugin,
     classical_uniformity_test,
@@ -12,9 +11,7 @@ from qdisttest.baselines import (
 )
 from qdisttest.distributions import (
     Distribution,
-    OracleTable,
     QueryLedger,
-    biased_pair,
     classical_samples,
     disjoint_pair,
     half_support,
@@ -25,55 +22,6 @@ from qdisttest.distributions import (
 )
 
 from helpers import random_distribution
-
-
-# ---------------------------------------------------------------------------
-# adapter
-
-
-def test_adapter_constant_table():
-    adapter = SamplingAdapter(OracleTable([1, 1, 1], 2))
-    rng = np.random.default_rng(0)
-    assert all(adapter.query(rng) == 1 for _ in range(30))
-    assert adapter.ledger.classical_samples == 30
-
-
-def test_adapter_ignores_requested_input():
-    rng = np.random.default_rng(1)
-    o = make_oracle(uniform(4), 4, rng)
-    a1 = SamplingAdapter(o)
-    a2 = SamplingAdapter(o)
-    rng1 = np.random.default_rng(42)
-    rng2 = np.random.default_rng(42)
-    fixed = [a1.query(rng1, requested=2) for _ in range(50)]
-    roving = [a2.query(rng2, requested=i % 4) for i in range(50)]
-    assert fixed == roving  # the requested input carries no information
-
-
-def test_adapter_stream_matches_distribution():
-    rng = np.random.default_rng(2)
-    counts, den = random_distribution(rng, 10)
-    p = Distribution(counts, den)
-    o = make_oracle(p, den, rng)
-    draws = SamplingAdapter(o).sample(10**5, rng)
-    freq = np.bincount(draws, minlength=10) / 10**5
-    assert 0.5 * np.abs(freq - p.weights).sum() < 0.02
-
-
-def test_adapter_matches_direct_sampling_statistics():
-    # adaptive queries through the adapter vs direct random table reads on a
-    # permutation-randomized oracle: same answer-stream statistics
-    rng = np.random.default_rng(3)
-    p, _ = biased_pair(8, 0.5)
-    o = make_oracle(p, p.denominator, rng)
-    adapter_draws = np.array(
-        [SamplingAdapter(o.compose(rng.permutation(o.s))).query(rng, requested=0)
-         for _ in range(20000)]
-    )
-    direct_draws = o.table[rng.integers(0, o.s, 20000)]
-    f1 = np.bincount(adapter_draws, minlength=8) / 20000
-    f2 = np.bincount(direct_draws, minlength=8) / 20000
-    assert 0.5 * np.abs(f1 - f2).sum() < 0.02
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,32 @@ def test_classical_sample_frequencies():
     assert abs(freq[0] - 0.5) < 0.02
 
 
+def test_classical_samples_stream_matches_distribution():
+    rng = np.random.default_rng(2)
+    counts, den = random_distribution(rng, 10)
+    p = Distribution(counts, den)
+    o = make_oracle(p, den, rng)
+    draws = classical_samples(o, 10**5, rng)
+    freq = np.bincount(draws, minlength=10) / 10**5
+    assert 0.5 * np.abs(freq - p.weights).sum() < 0.02
+
+
+def test_relabeled_oracle_draws_match_direct_sampling():
+    # one draw from a freshly relabeled oracle each time vs direct random
+    # table reads: the same answer-stream statistics, so no choice of input
+    # order tells a sampler anything
+    rng = np.random.default_rng(3)
+    p, _ = biased_pair(8, 0.5)
+    o = make_oracle(p, p.denominator, rng)
+    relabeled = np.array(
+        [classical_sample(o.compose(rng.permutation(o.s)), rng) for _ in range(20000)]
+    )
+    direct = o.table[rng.integers(0, o.s, 20000)]
+    f1 = np.bincount(relabeled, minlength=8) / 20000
+    f2 = np.bincount(direct, minlength=8) / 20000
+    assert 0.5 * np.abs(f1 - f2).sum() < 0.02
+
+
 def test_ledger_counts_draws():
     o = make_oracle(uniform(4), 4, seed=0)
     rng = np.random.default_rng(2)
@@ -258,7 +284,7 @@ def test_biased_pair_distance():
 def test_disjoint_pair_distance():
     p, q = disjoint_pair(8)
     assert l1_distance(p, q) == 2.0
-    assert np.intersect1d(p.support(), q.support()).size == 0
+    assert np.intersect1d(np.flatnonzero(p.counts), np.flatnonzero(q.counts)).size == 0
 
 
 @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0, 1.5, 2.0])
@@ -276,6 +302,9 @@ def test_generator_infeasible_parameters():
         overlapping_pair(8, 0)
     with pytest.raises(ValueError):
         biased_pair(8, 0.1234567890123)  # no small-denominator rational
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            overlapping_pair(8, bad)
 
 
 def test_recommended_sizes_are_minimal():

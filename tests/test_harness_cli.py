@@ -1,3 +1,4 @@
+import importlib
 import re
 from pathlib import Path
 
@@ -271,6 +272,11 @@ def test_cli_rejects_non_positive_counts():
      "--n-values", "1e2,1e3,1e4,1e5"],
     ["scaling", "--tester", "uniformity", "--target-error", "nan", "--trials", "1",
      "--n-values", "1e2,1e3,1e4,1e5"],
+    ["estdist", "--eps", "inf"],
+    ["uniformity", "--instance", "biased", "--eps", "inf"],
+    ["orthogonality", "--pair", "overlapping", "--eps", "inf"],
+    ["baseline-uniformity", "--eps", "inf"],
+    ["lb-fingerprint", "--n", "100", "--trials", "2", "--delta", "nan"],
 ])
 def test_cli_invalid_counts_are_config_errors(argv, capsys):
     assert run_cli(argv) == 2
@@ -281,6 +287,18 @@ def test_readme_lists_every_subcommand():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     listed = readme.split("Subcommands:", 1)[1].split(".", 1)[0]
     assert re.findall(r"`([a-z-]+)`", listed) == list(EXPERIMENTS)
+
+
+def test_readme_library_tour_names_exist():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in tour.splitlines() if line.startswith("| `qdisttest.")]
+    assert len(rows) == 6
+    for row in rows:
+        module, contents = row.strip("|").split("|", 1)
+        mod = importlib.import_module(module.strip(" `"))
+        for name in re.findall(r"`(\w+)`", contents):
+            assert hasattr(mod, name), (module, name)
 
 
 def test_cli_estprob_coverage(tmp_path, capsys):

@@ -253,6 +253,9 @@ def test_valiant_bound_uniform_is_exactly_flat():
 def test_valiant_bound_precondition():
     with pytest.raises(ValueError, match="precondition"):
         valiant_bound(half_support(100), 10.0, 0.05)  # max weight 0.02 > 0.005
+    for m, delta in ((math.nan, 0.05), (1.0, math.nan), (0.0, 0.05), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="positive"):
+            valiant_bound(uniform(100), m, delta)
 
 
 def test_valiant_bound_half_support_chain():

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qdisttest.baselines import collision_pair_count
 from qdisttest.distributions import (
@@ -21,32 +19,13 @@ from qdisttest.testers import (
     OrthogonalityParams,
     StatDiffParams,
     UniformityParams,
-    big_elements,
     est_dist,
     orthogonality_test,
     otest,
-    ratio_contrast,
     sampled_mass,
     uniformity_test,
     utest,
 )
-
-
-# ---------------------------------------------------------------------------
-# the contrast function's stability (precision propagation)
-
-
-@given(st.data())
-@settings(max_examples=300, deadline=None)
-def test_ratio_contrast_stability(data):
-    p = data.draw(st.floats(1e-9, 1.0))
-    q = data.draw(st.floats(1e-9, 1.0))
-    delta = data.draw(st.floats(1e-6, 0.2))
-    s = p + q
-    floor = 1e-12
-    pt = data.draw(st.floats(max(floor, p - delta * s), p + delta * s))
-    qt = data.draw(st.floats(max(floor, q - delta * s), q + delta * s))
-    assert abs(ratio_contrast(p, q) - ratio_contrast(pt, qt)) <= 5 * delta + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +47,7 @@ def test_est_dist_identical_tables_near_zero():
     params = StatDiffParams(mode="practical")
     res = est_dist(op, op, params, rng)
     assert res.estimate < 0.1
-    assert all(0.0 <= t.term <= 1.0 for t in res.terms)
+    assert np.all((0.0 <= res.terms) & (res.terms <= 1.0))
 
 
 def test_est_dist_disjoint_concentrates_at_one():
@@ -87,7 +66,7 @@ def test_est_dist_output_and_terms_in_unit_interval():
     oq = make_oracle(q, q.denominator, rng)
     res = est_dist(op, oq, StatDiffParams(mode="practical", n=40), rng)
     assert 0.0 <= res.estimate <= 1.0
-    assert all(0.0 <= t.term <= 1.0 for t in res.terms)
+    assert np.all((0.0 <= res.terms) & (res.terms <= 1.0))
 
 
 def test_est_dist_known_distances_practical_mode():
@@ -112,10 +91,27 @@ def test_est_dist_zero_denominator_guard():
     op = make_oracle(u, 10, rng)
     oq = make_oracle(u, 10, rng)
     res = est_dist(op, oq, StatDiffParams(mode="practical", n=50, m_inner=3), rng)
-    guarded = [t for t in res.terms if t.p_estimate == 0.0 and t.q_estimate == 0.0]
-    assert guarded  # the guard is reachable
-    assert all(t.term == 0.0 for t in guarded)
+    guarded = (res.estimates == 0.0).all(axis=1)
+    assert guarded.any()  # the guard is reachable
+    assert np.all(res.terms[guarded] == 0.0)
     assert math.isfinite(res.estimate)
+
+
+def test_est_dist_terms_are_contrasts_summed_left_to_right():
+    # at n=1000 the terms are inexact floats, so a pairwise np.sum differs
+    rng = np.random.default_rng(22)
+    p, q = overlapping_pair(1000, 0.5)
+    op = make_oracle(p, p.denominator)
+    oq = make_oracle(q, q.denominator)
+    for m_inner in (2, 5, 997, None):
+        res = est_dist(op, oq, StatDiffParams(n=300, m_inner=m_inner), rng)
+        assert res.estimates.shape == (300, 2) and res.terms.shape == (300,)
+        for (pe, qe), term in zip(res.estimates.tolist(), res.terms.tolist()):
+            assert term == (abs(pe - qe) / (pe + qe) if pe + qe > 0 else 0.0)
+        total = 0.0
+        for term in res.terms.tolist():
+            total += term
+        assert res.estimate == total / 300
 
 
 def test_est_dist_query_accounting():
@@ -286,9 +282,6 @@ def test_uniformity_wrapper_or_semantics_and_ledger():
     ledger = verdict.ledgers["p"]
     assert ledger.classical_samples == sum(r.classical_queries for r in verdict.rounds)
     assert ledger.quantum_applications == sum(r.quantum_queries for r in verdict.rounds)
-    rows = verdict.diagnostics_rows()
-    assert len(rows) == len(verdict.rounds)
-    assert {"round", "collision", "statistic", "decision"} <= set(rows[0])
 
 
 def test_collision_count_expectation():
@@ -320,22 +313,6 @@ def test_sampled_mass_surrogate_small_scale():
     assert hits / 300 >= 0.7
 
 
-def test_big_elements_exact_partition():
-    n = 4096
-    m = 21
-    counts = np.zeros(n, dtype=np.int64)
-    counts[:400] = 2 * 4096  # mass 0.8 over 400 elements, each 0.002
-    counts[400:] = (4096 * 1000 - 400 * 2 * 4096) // (n - 400)
-    leftover = 4096 * 1000 - int(counts.sum())
-    counts[400] += leftover
-    p = Distribution(counts, 4096 * 1000)
-    idx, w_big = big_elements(p, m)
-    cut = 1 / (2 * m * m)
-    assert all(p.weights[i] > cut for i in idx)
-    assert all(p.weights[i] <= cut for i in range(n) if i not in set(idx.tolist()))
-    assert w_big == pytest.approx(p.weights[idx].sum(), rel=1e-12)
-
-
 def test_many_big_elements_sampled_mass():
     # with big-element mass w > alpha/M, sampled mass reaches 2M/n w.p. >= 1/2
     rng = np.random.default_rng(14)
@@ -350,8 +327,9 @@ def test_many_big_elements_sampled_mass():
     counts[400:] = small
     counts[400] += den - int(counts.sum())
     p = Distribution(counts, den)
-    idx, w_big = big_elements(p, m)
-    assert w_big > alpha / m
+    big = counts * (2 * m * m) > den  # weight above 1 / (2 M^2)
+    w_big = int(counts[big].sum()) / den
+    assert w_big == 0.8 and w_big > alpha / m
     o = make_oracle(p, den, rng)
     hits = sum(sampled_mass(o, m, rng) >= 2 * m / n for _ in range(400))
     assert hits / 400 >= 0.5
