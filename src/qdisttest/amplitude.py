@@ -190,13 +190,13 @@ def _target_mass(o: OracleTable, target) -> float:
         i = int(target[0])
         if not 0 <= i < o.n:
             raise ValueError("target elements must lie in [0, n)")
-        return int(dist.counts[i]) / dist.denominator
+        return int(dist.counts_at(i)) / dist.denominator
     idx = np.sort(np.asarray(target, dtype=np.int64))
     if idx.size == 0:
         return 0.0
     if idx[0] < 0 or idx[-1] >= o.n:
         raise ValueError("target elements must lie in [0, n)")
-    counts = dist.counts[idx]
+    counts = dist.counts_at(idx)
     counts[1:][idx[1:] == idx[:-1]] = 0  # a repeated element counts once
     return int(counts.sum()) / dist.denominator
 
@@ -311,7 +311,7 @@ def est_probs(
     masses = []
     for o in oracles:
         dist = o.distribution()
-        masses.append([c / dist.denominator for c in dist.counts[idx].tolist()])
+        masses.append([c / dist.denominator for c in dist.counts_at(idx).tolist()])
     outcomes = []
     estimates = []
     for element_masses in zip(*masses):

@@ -98,6 +98,6 @@ def classical_orthogonality_test(
     m = int(m)
     if m < 1:
         raise ValueError("need at least one sample")
-    sp = np.unique(classical_samples(op, m, rng, ledger_p))
-    sq = np.unique(classical_samples(oq, m, rng, ledger_q))
-    return "reject" if np.intersect1d(sp, sq, assume_unique=True).size else "accept"
+    sp = classical_samples(op, m, rng, ledger_p)
+    sq = np.sort(classical_samples(oq, m, rng, ledger_q))  # look each of sp up in sq
+    return "reject" if np.any(sq[np.minimum(sq.searchsorted(sp), m - 1)] == sp) else "accept"

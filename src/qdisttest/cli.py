@@ -444,7 +444,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
 

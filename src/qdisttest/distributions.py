@@ -1,13 +1,18 @@
 """Distributions on a finite domain and the lookup-table oracles that generate them.
 
-A distribution on ``{0, ..., n-1}`` is stored as a vector of non-negative
-integer counts over a common denominator ``s``, so every weight is the exact
-rational ``counts[i] / s``.  An oracle is a plain lookup table ``[s] -> [n]``;
-drawing one classical sample means reading the table at a uniformly random
-input; :func:`make_oracle` lays tables out in element order, drawing nothing.
-Distances and inner products are evaluated in exact integer arithmetic and
-only converted to float at the very end, which makes round-trips through
-:func:`make_oracle` / :func:`distribution_of` exact.
+A distribution on ``{0, ..., n-1}`` has non-negative integer counts over a
+common denominator ``s``, so every weight is the exact rational
+``counts[i] / s``.  It is stored as blocks, the maximal runs of equal
+counts, so the instance generators, which make one or two blocks, cost
+O(1) whatever ``n``.  An oracle is a lookup table ``[s] -> [n]``; drawing
+one classical sample means reading the table at a uniformly random input.
+:func:`make_oracle` builds no table: its oracle reads the element-order
+table (``counts[i]`` copies of each ``i`` in turn) of its distribution
+from the blocks, drawing nothing.  Explicit tables keep their arrays.
+Distances and inner products are evaluated in exact integer arithmetic
+over the merged blocks and only converted to float at the very end, which
+makes round-trips through :func:`make_oracle` / :func:`distribution_of`
+exact.
 
 All stochastic helpers take an explicit :class:`numpy.random.Generator` and
 an optional :class:`QueryLedger`, so experiments are replayable and every
@@ -77,7 +82,13 @@ class QueryLedger:
 
 
 class Distribution:
-    """Exact rational distribution on ``{0, ..., n-1}``.
+    """Exact rational distribution on ``{0, ..., n-1}``, stored as blocks.
+
+    Block ``j`` holds the elements from ``starts[j]`` up to the next start (or
+    ``n``), each with count ``levels[j]``; an element's weight is its count
+    over ``denominator``.  The blocks are canonical (maximal runs of equal
+    counts), so equality and hashing read only the blocks.  ``counts`` and
+    ``weights`` are built on first read.
 
     Parameters
     ----------
@@ -88,7 +99,7 @@ class Distribution:
         Common denominator; must equal ``sum(counts)``.
     """
 
-    __slots__ = ("counts", "denominator", "_weights")
+    __slots__ = ("starts", "levels", "n", "denominator", "_counts", "_weights", "_index")
 
     def __init__(self, counts, denominator: int):
         arr = np.asarray(counts, dtype=np.int64)
@@ -102,14 +113,52 @@ class Distribution:
         if int(arr.sum()) != denominator:
             raise ValueError("weights must sum to exactly 1 (counts to denominator)")
         arr.flags.writeable = False
-        self.counts = arr
-        self.denominator = denominator
-        self._weights = None
+        starts = np.concatenate(([0], np.flatnonzero(arr[1:] != arr[:-1]) + 1))
+        self._set_blocks(starts, arr[starts], arr.size, denominator)
+        self._counts = arr
+
+    @classmethod
+    def from_blocks(cls, starts, levels, n: int, denominator: int) -> "Distribution":
+        """Elements ``starts[j]`` up to ``starts[j+1]`` (or ``n``) have count
+        ``levels[j]``.  Adjacent blocks of equal count are merged; the cost is
+        O(blocks), whatever ``n``."""
+        starts = np.asarray(starts, dtype=np.int64)
+        levels = np.asarray(levels, dtype=np.int64)
+        n, denominator = int(n), int(denominator)
+        if starts.ndim != 1 or starts.size == 0 or starts.shape != levels.shape:
+            raise ValueError("blocks need one level per start, and at least one block")
+        if starts[0] != 0 or starts[-1] >= n or np.any(starts[1:] <= starts[:-1]):
+            raise ValueError("block starts must rise from 0 and lie in [0, n)")
+        if levels.min() < 0:
+            raise ValueError("weights must be non-negative")
+        if denominator < 1:
+            raise ValueError("denominator must be a positive integer")
+        sizes = np.diff(starts, append=n)
+        if sum(c * k for c, k in zip(levels.tolist(), sizes.tolist())) != denominator:
+            raise ValueError("weights must sum to exactly 1 (counts to denominator)")
+        keep = np.concatenate(([True], levels[1:] != levels[:-1]))
+        d = object.__new__(cls)
+        d._set_blocks(starts[keep], levels[keep], n, denominator)
+        return d
+
+    def _set_blocks(self, starts, levels, n, denominator) -> None:
+        starts.flags.writeable = False
+        levels.flags.writeable = False
+        self.starts, self.levels = starts, levels
+        self.n, self.denominator = int(n), denominator
+        self._counts = self._weights = self._index = None
+
+    def _sizes(self) -> np.ndarray:
+        return np.diff(self.starts, append=self.n)
 
     @property
-    def n(self) -> int:
-        """Support-size parameter (length of the weight vector)."""
-        return int(self.counts.size)
+    def counts(self) -> np.ndarray:
+        """Count of every element (read-only; built on first read)."""
+        if self._counts is None:
+            c = np.repeat(self.levels, self._sizes())
+            c.flags.writeable = False
+            self._counts = c
+        return self._counts
 
     @property
     def weights(self) -> np.ndarray:
@@ -122,23 +171,56 @@ class Distribution:
 
     @property
     def max_weight(self) -> float:
-        return int(self.counts.max()) / self.denominator
+        return int(self.levels.max()) / self.denominator
+
+    def counts_at(self, idx):
+        """Counts of the elements ``idx`` (one element or an array, in [0, n))."""
+        return self.levels[self.starts[1:].searchsorted(idx, "right")]
+
+    def element_at(self, pos):
+        """Entry ``pos`` of the element-order table, which holds ``counts[i]``
+        copies of each ``i`` in turn: ``np.repeat(arange(n), counts)[pos]``
+        for positions in ``[0, denominator)``, without building the table."""
+        if self._index is None:
+            self._index = self._table_index()
+        bounds, shifts, levels = self._index
+        if bounds is None:  # one block of positive count
+            if levels == 1:
+                return pos + shifts if shifts else pos
+            return (pos + shifts) // levels
+        j = bounds.searchsorted(pos, "right")
+        return (pos + shifts[j]) // levels[j]
+
+    def _table_index(self):
+        """``(bounds, shifts, levels)`` of the positive-count blocks: position
+        ``pos`` lies in block ``j = bounds.searchsorted(pos, "right")`` and
+        holds element ``(pos + shifts[j]) // levels[j]``."""
+        live = self.levels > 0
+        levels, first, sizes = self.levels[live], self.starts[live], self._sizes()[live]
+        if np.any(first + sizes > (2**63 - 1) // levels):
+            raise ValueError("element-order table positions of this distribution overflow int64")
+        ends = np.cumsum(levels * sizes)  # table position after each block
+        shifts = first * levels - (ends - levels * sizes)
+        if levels.size == 1:
+            return None, int(shifts[0]), int(levels[0])
+        return ends[:-1], shifts, levels
+
+    def _lowest_terms(self) -> tuple[int, np.ndarray]:
+        g = math.gcd(int(np.gcd.reduce(self.levels)), self.denominator)
+        return self.denominator // g, self.levels // g
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Distribution):
             return NotImplemented
-        if self.n != other.n:
+        if self.n != other.n or not np.array_equal(self.starts, other.starts):
             return False
-        # Cross-multiplied comparison keeps equality exact across denominators.
-        return bool(
-            np.array_equal(
-                self.counts * other.denominator, other.counts * self.denominator
-            )
-        )
+        # Proportional count vectors have the same runs and reduce alike.
+        (d1, l1), (d2, l2) = self._lowest_terms(), other._lowest_terms()
+        return d1 == d2 and np.array_equal(l1, l2)
 
     def __hash__(self):
-        g = math.gcd(int(np.gcd.reduce(self.counts)), self.denominator)
-        return hash((self.n, self.denominator // g, tuple(self.counts // g)))
+        den, levels = self._lowest_terms()
+        return hash((self.n, den, self.starts.tobytes(), levels.tobytes()))
 
     def __repr__(self) -> str:
         return f"Distribution(n={self.n}, denominator={self.denominator})"
@@ -149,10 +231,13 @@ class OracleTable:
 
     The table is the only interface through which testers may touch a
     distribution.  Relabeling inputs (composing with any permutation of the
-    domain) leaves the generated distribution unchanged.
+    domain) leaves the generated distribution unchanged.  An explicit table
+    keeps its array; an oracle from :func:`make_oracle` keeps only its
+    distribution, reads its element-order table through
+    :meth:`Distribution.element_at`, and builds ``table`` on first read.
     """
 
-    __slots__ = ("table", "n", "_dist")
+    __slots__ = ("_table", "n", "s", "_dist")
 
     def __init__(self, table, n: int):
         arr = np.asarray(table, dtype=np.int64)
@@ -164,20 +249,30 @@ class OracleTable:
         if arr.min() < 0 or arr.max() >= n:
             raise ValueError("table values must lie in [0, n)")
         arr.flags.writeable = False
-        self.table = arr
+        self._table = arr
         self.n = n
+        self.s = int(arr.size)
         self._dist = None
 
     @property
-    def s(self) -> int:
-        """Domain size of the table."""
-        return int(self.table.size)
+    def table(self) -> np.ndarray:
+        """The ``s`` table entries (read-only)."""
+        if self._table is None:
+            t = self._dist.element_at(np.arange(self.s, dtype=np.int64))
+            t.flags.writeable = False
+            self._table = t
+        return self._table
+
+    def element_at(self, pos):
+        """Table entries at the inputs ``pos``."""
+        if self._table is None:
+            return self._dist.element_at(pos)
+        return self._table[pos]
 
     def distribution(self) -> Distribution:
         """Exact preimage-fraction distribution (cached)."""
         if self._dist is None:
-            counts = np.bincount(self.table, minlength=self.n)
-            self._dist = Distribution(counts, self.s)
+            self._dist = Distribution(np.bincount(self._table, minlength=self.n), self.s)
         return self._dist
 
     def compose(self, sigma) -> "OracleTable":
@@ -192,12 +287,12 @@ class OracleTable:
 
 
 def make_oracle(p: Distribution, s: int, seed=None) -> OracleTable:
-    """Build a table of size ``s`` generating ``p``: ``p_i * s`` copies of each
-    ``i``, in element order.  Testers read tables only at uniformly random
-    inputs, so the layout is invisible to them; the oracle gets ``p`` (over
-    denominator ``s``) instead of counting its table.  ``seed`` is unused,
-    since nothing is drawn; it is kept for callers written for the shuffled
-    tables of 0.2.0 and earlier.
+    """Oracle of size ``s`` generating ``p``, whose table holds ``p_i * s``
+    copies of each ``i`` in element order.  It stores ``p`` (over denominator
+    ``s``), not the table, so building it costs O(blocks); testers read tables
+    only at uniformly random inputs, so the layout is invisible to them.
+    ``seed`` is unused, since nothing is drawn; it is kept for callers
+    written for the shuffled tables of 0.2.0 and earlier.
 
     Raises
     ------
@@ -213,15 +308,13 @@ def make_oracle(p: Distribution, s: int, seed=None) -> OracleTable:
         # iff den/g divides counts_i, and no intermediate value exceeds s.
         g = math.gcd(p.denominator, s)
         step = p.denominator // g
-        if np.any(p.counts % step):
+        if np.any(p.levels % step):
             raise ValueError(
                 f"every weight times s must be an integer (s={s}, denominator={p.denominator})"
             )
-        dist = Distribution(p.counts // step * (s // g), s)
-    o = object.__new__(OracleTable)  # in range by construction: skip __init__'s scan
-    o.table = np.repeat(np.arange(p.n, dtype=np.int64), dist.counts)
-    o.table.flags.writeable = False
-    o.n, o._dist = p.n, dist
+        dist = Distribution.from_blocks(p.starts, p.levels // step * (s // g), p.n, s)
+    o = object.__new__(OracleTable)
+    o._table, o.n, o.s, o._dist = None, p.n, s, dist
     return o
 
 
@@ -232,7 +325,7 @@ def distribution_of(o: OracleTable) -> Distribution:
 
 def classical_sample(o: OracleTable, rng: np.random.Generator, ledger: QueryLedger | None = None) -> int:
     """Query the table at a uniformly random input; one classical query."""
-    value = int(o.table[rng.integers(0, o.s)])
+    value = int(o.element_at(rng.integers(0, o.s)))
     if ledger is not None:
         ledger.add_classical(1)
     return value
@@ -245,7 +338,7 @@ def classical_samples(
     idx = rng.integers(0, o.s, size=size)
     if ledger is not None:
         ledger.add_classical(size)
-    return o.table[idx]
+    return o.element_at(idx)
 
 
 def _check_same_support(p: Distribution, q: Distribution) -> None:
@@ -253,16 +346,25 @@ def _check_same_support(p: Distribution, q: Distribution) -> None:
         raise ValueError(f"support sizes differ: {p.n} != {q.n}")
 
 
+def _pieces(p: Distribution, q: Distribution):
+    """Sizes and the two counts of the pieces on which neither distribution
+    changes count (a piece is empty where both change at once)."""
+    cuts = np.concatenate((p.starts, q.starts))
+    cuts.sort()
+    return np.diff(cuts, append=p.n), p.counts_at(cuts), q.counts_at(cuts)
+
+
 def l1_distance(p: Distribution, q: Distribution) -> float:
     """L1 distance ``sum |p_i - q_i|``, exact up to one final float rounding."""
     _check_same_support(p, q)
     s1, s2 = p.denominator, q.denominator
-    if 2 * p.n * s1 * s2 < _INT64_SAFE:
-        num = int(np.abs(p.counts * s2 - q.counts * s1).sum())
+    sizes, a, b = _pieces(p, q)
+    # Each piece adds at most s1 * s2, and the total is at most 2 * s1 * s2.
+    if 2 * s1 * s2 < _INT64_SAFE:
+        num = int((np.abs(a * s2 - b * s1) * sizes).sum())
     else:
         num = sum(
-            abs(int(a) * s2 - int(b) * s1)
-            for a, b in zip(p.counts.tolist(), q.counts.tolist())
+            abs(x * s2 - y * s1) * k for k, x, y in zip(sizes.tolist(), a.tolist(), b.tolist())
         )
     return num / (s1 * s2)
 
@@ -271,10 +373,11 @@ def inner_product(p: Distribution, q: Distribution) -> float:
     """Inner product ``sum p_i q_i``, exact up to one final float rounding."""
     _check_same_support(p, q)
     s1, s2 = p.denominator, q.denominator
-    if p.n * s1 * s2 < _INT64_SAFE:
-        num = int((p.counts * q.counts).sum())
+    sizes, a, b = _pieces(p, q)
+    if s1 * s2 < _INT64_SAFE:  # the total, and every piece, is at most s1 * s2
+        num = int((a * b * sizes).sum())
     else:
-        num = sum(int(a) * int(b) for a, b in zip(p.counts.tolist(), q.counts.tolist()))
+        num = sum(x * y * k for k, x, y in zip(sizes.tolist(), a.tolist(), b.tolist()))
     return num / (s1 * s2)
 
 
@@ -288,7 +391,7 @@ def moment(p: Distribution, k: int) -> float:
         raise ValueError("moment order must be >= 1")
     if k == 1:
         return 1.0
-    return float(np.sum(p.weights**k))
+    return float((p._sizes() * (p.levels / p.denominator) ** k).sum())
 
 
 def _as_fraction(x, name: str = "epsilon") -> Fraction:
@@ -305,19 +408,16 @@ def _as_fraction(x, name: str = "epsilon") -> Fraction:
     return f
 
 
-def _reduced(counts: np.ndarray, den: int) -> Distribution:
-    g = math.gcd(int(np.gcd.reduce(counts)), den)
-    if g > 1:
-        counts = counts // g
-        den //= g
-    return Distribution(counts, den)
+def _reduced(starts, levels, n: int, den: int) -> Distribution:
+    g = math.gcd(*levels, den)
+    return Distribution.from_blocks(starts, [c // g for c in levels], n, den // g)
 
 
 def uniform(n: int) -> Distribution:
     """Uniform distribution on ``n`` elements (recommended oracle size: ``n``)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return Distribution(np.ones(n, dtype=np.int64), n)
+    return Distribution.from_blocks([0], [1], n, n)
 
 
 def half_support(n: int) -> Distribution:
@@ -328,9 +428,7 @@ def half_support(n: int) -> Distribution:
     """
     if n < 2 or n % 2:
         raise ValueError("n must be an even integer >= 2")
-    counts = np.zeros(n, dtype=np.int64)
-    counts[: n // 2] = 1
-    return Distribution(counts, n // 2)
+    return Distribution.from_blocks([0, n // 2], [1, 0], n, n // 2)
 
 
 def biased_pair(n: int, eps) -> tuple[Distribution, Distribution]:
@@ -345,10 +443,7 @@ def biased_pair(n: int, eps) -> tuple[Distribution, Distribution]:
     if n < 2 or n % 2:
         raise ValueError("n must be an even integer >= 2")
     a, b = f.numerator, f.denominator
-    counts = np.empty(n, dtype=np.int64)
-    counts[: n // 2] = b + a
-    counts[n // 2 :] = b - a
-    p = _reduced(counts, b * n)
+    p = _reduced([0, n // 2], [b + a, b - a], n, b * n)
     u = uniform(n)
     assert l1_distance(p, u) == float(f)
     return p, u
@@ -359,11 +454,8 @@ def disjoint_pair(n: int) -> tuple[Distribution, Distribution]:
     if n < 2 or n % 2:
         raise ValueError("n must be an even integer >= 2")
     h = n // 2
-    cp = np.zeros(n, dtype=np.int64)
-    cq = np.zeros(n, dtype=np.int64)
-    cp[:h] = 1
-    cq[h:] = 1
-    p, q = Distribution(cp, h), Distribution(cq, h)
+    p = Distribution.from_blocks([0, h], [1, 0], n, h)
+    q = Distribution.from_blocks([0, h], [0, 1], n, h)
     assert l1_distance(p, q) == 2.0
     return p, q
 
@@ -380,14 +472,9 @@ def overlapping_pair(n: int, eps) -> tuple[Distribution, Distribution]:
     if n < 2 or n % 2:
         raise ValueError("n must be an even integer >= 2")
     a, b = f.numerator, f.denominator
-    h = n // 2
-    cp = np.zeros(n, dtype=np.int64)
-    cp[:h] = 2 * b
-    cq = np.empty(n, dtype=np.int64)
-    cq[:h] = a
-    cq[h:] = 2 * b - a
-    p = _reduced(cp, b * n)
-    q = _reduced(cq, b * n)
+    blocks = [0, n // 2]
+    p = _reduced(blocks, [2 * b, 0], n, b * n)
+    q = _reduced(blocks, [a, 2 * b - a], n, b * n)
     assert l1_distance(p, q) == float(2 - f)
     return p, q
 

@@ -123,8 +123,8 @@ class StatDiffParams:
     def __post_init__(self):
         if self.mode not in ("paper", "practical"):
             raise ValueError("mode must be 'paper' or 'practical'")
-        if not 0 < self.epsilon:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0 < self.tau < 1:
             raise ValueError("tau must lie in (0, 1)")
         if any(v is not None and v < 1 for v in (self.n, self.m_inner)):
@@ -216,8 +216,8 @@ class UniformityParams:
     def __post_init__(self):
         if self.mode not in ("paper", "practical"):
             raise ValueError("mode must be 'paper' or 'practical'")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if any(v is not None and v < 1 for v in (self.m_samples, self.k_queries, self.l_repeats)):
             raise ValueError("explicit m_samples, k_queries and l_repeats must be positive")
 
@@ -273,7 +273,8 @@ def utest(
             "or set k_queries explicitly"
         )
     samples = classical_samples(o, m, rng, ledger)
-    if np.unique(samples).size < m:
+    ordered = np.sort(samples)
+    if np.any(ordered[1:] == ordered[:-1]):
         return RoundRecord(
             index=round_index,
             decision="reject",
@@ -330,7 +331,7 @@ def sampled_mass(
     """Total weight of M classical samples, counted with multiplicity."""
     samples = classical_samples(o, m_samples, rng, ledger)
     dist = o.distribution()
-    return int(dist.counts[samples].sum()) / dist.denominator
+    return int(dist.counts_at(samples).sum()) / dist.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +355,8 @@ class OrthogonalityParams:
     rounds: int = 8
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if any(v is not None and v < 1 for v in (self.m_samples, self.k_queries)):
@@ -365,9 +366,7 @@ class OrthogonalityParams:
         default = math.ceil(n ** (1 / 3) / self.epsilon)
         m = _explicit(self.m_samples, default)
         k = _explicit(self.k_queries, default)
-        threshold = self.threshold
-        if threshold is None:
-            threshold = self.epsilon**3 * m / (2**12 * n)
+        threshold = _explicit(self.threshold, self.epsilon**3 * m / (2**12 * n))
         if threshold <= 0:
             raise ValueError("threshold must be positive")
         return m, k, threshold

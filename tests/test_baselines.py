@@ -183,3 +183,19 @@ def test_classical_orthogonality_shared_atom():
     atom = Distribution([1, 0], 1)
     o = make_oracle(atom, 1, rng)
     assert classical_orthogonality_test(o, o, 1, rng) == "reject"
+
+
+def test_classical_orthogonality_rejects_iff_the_draws_intersect():
+    # the decision is a function of the two draws, which come p first, then q
+    n = 64
+    p, q = overlapping_pair(n, 0.25)
+    op, oq = make_oracle(p, p.denominator), make_oracle(q, q.denominator)
+    decisions = set()
+    for m in (1, 2, 3, 5, 8):
+        for seed in range(40):
+            got = classical_orthogonality_test(op, oq, m, np.random.default_rng(seed))
+            same = np.random.default_rng(seed)
+            sp, sq = classical_samples(op, m, same), classical_samples(oq, m, same)
+            assert got == ("reject" if set(sp.tolist()) & set(sq.tolist()) else "accept")
+            decisions.add(got)
+    assert decisions == {"accept", "reject"}

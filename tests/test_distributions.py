@@ -134,6 +134,121 @@ def test_permutation_invariance():
         assert distribution_of(o.compose(sigma)) == distribution_of(o)
 
 
+def _runs_distribution(runs):
+    """Counts made of ``runs`` (level, length) pairs, as a Distribution."""
+    counts = np.concatenate([np.full(k, c, dtype=np.int64) for c, k in runs])
+    return counts, Distribution(counts, int(counts.sum()))
+
+
+def _random_runs(rng):
+    """Random runs with zero runs at the start, the end or in between."""
+    runs = [(int(rng.choice([0, 1, 2, 3, 7, 1000])), int(rng.integers(1, 6)))
+            for _ in range(int(rng.integers(1, 7)))]
+    if rng.random() < 0.3:
+        runs.insert(0, (0, int(rng.integers(1, 4))))
+    if rng.random() < 0.3:
+        runs.append((0, int(rng.integers(1, 4))))
+    if rng.random() < 0.3:
+        runs.insert(len(runs) // 2, (0, int(rng.integers(1, 4))))
+    if all(c == 0 for c, _ in runs):
+        runs.append((5, 2))
+    return runs
+
+
+RUN_CASES = [
+    [(1, 7)],  # one block, the identity table
+    [(3, 4)],  # one block at level 3
+    [(0, 3), (1, 5)],  # one positive block after a zero run
+    [(0, 3), (2, 2)],  # ... at level 2
+    [(0, 2), (4, 3), (0, 2)],  # zero runs at both ends
+    [(2, 3), (0, 4), (5, 1), (0, 1), (1, 6)],  # zero runs in the middle
+    [(2, 2), (2, 3), (1, 1)],  # equal adjacent runs merge
+]
+
+
+def test_element_at_and_counts_at_match_the_dense_table():
+    for case in range(len(RUN_CASES) + 200):
+        rng = np.random.default_rng(case)
+        counts, p = _runs_distribution(RUN_CASES[case] if case < len(RUN_CASES) else _random_runs(rng))
+        n, table = counts.size, np.repeat(np.arange(counts.size), counts)
+        assert np.array_equal(p.element_at(np.arange(p.denominator)), table)
+        pos = rng.integers(0, p.denominator, size=50)
+        assert np.array_equal(p.element_at(pos), table[pos])
+        assert all(int(p.element_at(int(i))) == table[i] for i in pos[:5])
+        idx = rng.integers(0, n, size=50)
+        assert np.array_equal(p.counts_at(idx), counts[idx])
+        assert np.array_equal(p.counts_at(np.arange(n)), counts)
+        assert int(p.counts_at(int(idx[0]))) == counts[idx[0]]
+        # the oracle reads the same table, also at a multiple of the denominator
+        o = make_oracle(p, 3 * p.denominator)
+        tripled = np.repeat(np.arange(n), 3 * counts)
+        assert np.array_equal(o.element_at(np.arange(o.s)), tripled)
+        assert np.array_equal(o.table, tripled)
+    # one element of count 2**30 after 2**40 empty ones: positions past int64
+    far = Distribution.from_blocks([0, 2**40], [0, 2**30], 2**40 + 1, 2**30)
+    with pytest.raises(ValueError, match="overflow"):
+        far.element_at(0)
+
+
+def test_blocks_are_maximal_runs():
+    p = Distribution([0, 0, 2, 2, 2, 0, 1, 1], 8)
+    assert p.starts.tolist() == [0, 2, 5, 6] and p.levels.tolist() == [0, 2, 0, 1]
+    with pytest.raises(ValueError):
+        p.starts[0] = 1
+    q = Distribution.from_blocks([0, 2, 3, 5, 6], [0, 2, 2, 0, 1], 8, 8)
+    assert q.starts.tolist() == [0, 2, 5, 6] and q.levels.tolist() == [0, 2, 0, 1]
+    assert np.array_equal(q.counts, p.counts)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_from_blocks_and_counts_give_equal_hash_equal_distributions(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    counts, p = _runs_distribution(_random_runs(rng))
+    factor = data.draw(st.integers(1, 5))
+    q = Distribution.from_blocks(p.starts, p.levels * factor, p.n, p.denominator * factor)
+    assert p == q and hash(p) == hash(q)
+    assert np.array_equal(q.counts, counts * factor)
+    # blocks split after their first element give the same distribution
+    starts = sorted({*p.starts.tolist(), *(s + 1 for s in p.starts.tolist() if s + 1 < p.n)})
+    r = Distribution.from_blocks(starts, counts[starts], p.n, p.denominator)
+    assert r == p and hash(r) == hash(p)
+    assert np.array_equal(r.starts, p.starts) and np.array_equal(r.levels, p.levels)
+
+
+def test_from_blocks_validation():
+    for starts, levels, n, den in [
+        ([1], [1], 4, 4),  # does not start at 0
+        ([0, 2, 2], [1, 2, 1], 4, 6),  # starts do not rise
+        ([0, 4], [1, 1], 4, 4),  # a start outside [0, n)
+        ([0, 2], [1, -1], 4, 0),  # negative count
+        ([0, 2], [1, 2], 4, 7),  # counts do not sum to the denominator
+        ([0, 2], [1], 4, 2),  # one level per start
+        ([], [], 4, 4),
+    ]:
+        with pytest.raises(ValueError):
+            Distribution.from_blocks(starts, levels, n, den)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_block_distances_equal_the_dense_integer_formula(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    n = data.draw(st.integers(1, 30))
+    huge = data.draw(st.booleans())  # counts near 2**40: the Python-int branch
+    top = 2**40 if huge else 8
+    dense = []
+    for _ in range(2):
+        counts = np.repeat(rng.integers(0, top, size=n), rng.integers(1, 4, size=n))[:n]
+        counts[0] += top  # a positive total, and s1 * s2 >= 2**80 when huge
+        dense.append(counts.tolist())
+    ca, cb = dense
+    s1, s2 = sum(ca), sum(cb)
+    p, q = Distribution(ca, s1), Distribution(cb, s2)
+    assert l1_distance(p, q) == sum(abs(a * s2 - b * s1) for a, b in zip(ca, cb)) / (s1 * s2)
+    assert inner_product(p, q) == sum(a * b for a, b in zip(ca, cb)) / (s1 * s2)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 

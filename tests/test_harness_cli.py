@@ -1,5 +1,8 @@
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -277,10 +280,58 @@ def test_cli_rejects_non_positive_counts():
     ["orthogonality", "--pair", "overlapping", "--eps", "inf"],
     ["baseline-uniformity", "--eps", "inf"],
     ["lb-fingerprint", "--n", "100", "--trials", "2", "--delta", "nan"],
+    ["uniformity", "--eps", "inf", "--trials", "2"],
+    ["uniformity", "--eps", "nan", "--trials", "2"],
+    ["orthogonality", "--eps", "inf", "--trials", "2"],
+    ["orthogonality", "--eps", "nan", "--trials", "2"],
 ])
 def test_cli_invalid_counts_are_config_errors(argv, capsys):
     assert run_cli(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_non_finite_eps_names_epsilon(capsys):
+    for command in ("uniformity", "orthogonality"):
+        for eps in ("inf", "nan"):
+            assert run_cli([command, "--eps", eps, "--trials", "2"]) == 2
+            err = capsys.readouterr().err
+            assert err == "config error: epsilon must be positive and finite\n", (command, eps)
+
+
+LIMITED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from qdisttest.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_limited(argv, tmp_path):
+    """The CLI in a child process whose address space is capped at 2 GiB."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", LIMITED, *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("argv", [
+    ["uniformity", "--instance", "biased"],
+    ["orthogonality", "--pair", "overlapping"],
+    ["estdist", "--pair", "overlapping"],
+    ["baseline-orthogonality"],
+])
+def test_cli_runs_at_a_billion_elements_in_2_gib(argv, tmp_path):
+    # every instance is a few blocks, so nothing is as long as the domain
+    done = run_limited([*argv, "--n", "1000000000", "--trials", "2", "--out", "o.csv"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "o.csv").read_text().splitlines()[1].startswith("trial,")
+
+
+def test_cli_out_of_memory_is_a_runtime_error(tmp_path):
+    # m = n = 1e9 draws need 7.45 GiB; run only under the address-space cap
+    done = run_limited(["baseline-statdiff", "--n", "1000000000", "--trials", "1"], tmp_path)
+    assert done.returncode == 3
+    assert done.stderr.startswith("runtime error: ")
 
 
 def test_readme_lists_every_subcommand():

@@ -8,6 +8,7 @@ from qdisttest.distributions import (
     Distribution,
     QueryLedger,
     biased_pair,
+    classical_samples,
     disjoint_pair,
     half_support,
     inner_product,
@@ -226,6 +227,19 @@ def test_utest_rejects_point_mass_by_collision():
     assert rec.decision == "reject"
     assert rec.collision is True
     assert rec.quantum_queries == 0
+
+
+def test_utest_collision_flag_is_a_repeated_draw():
+    n = 400
+    o = make_oracle(uniform(n), n)
+    params = UniformityParams(epsilon=0.5, mode="practical", m_samples=20, k_queries=5)
+    flags = set()
+    for seed in range(60):
+        rec = utest(o, params, np.random.default_rng(seed))
+        samples = classical_samples(o, 20, np.random.default_rng(seed))
+        assert rec.collision == (len(set(samples.tolist())) < 20)
+        flags.add(rec.collision)
+    assert flags == {True, False}
 
 
 def test_utest_accepts_uniform_and_counts_queries():
