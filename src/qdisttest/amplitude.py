@@ -47,7 +47,6 @@ __all__ = [
     "coverage_probability",
     "queries_for",
     "calibrate_constant",
-    "default_calibration_grid",
     "save_calibration",
     "load_calibration",
     "DEFAULT_C",
@@ -70,13 +69,23 @@ _BLOCK = (0, 1, -1, 2, -2, 3, -3, 4)
 _RIGHT, _LEFT = 5, -4
 
 # Calibrated estimation constant.  Produced by calibrate_constant() on the
-# default 3x3x3 grid (see default_calibration_grid) with 4000 trials per cell
-# and seed 20240801; re-derivable via the `calibrate` CLI subcommand.
+# 3x3x3 CALIBRATION_GRID with 4000 trials per cell and seed 20240801;
+# re-derivable via the `calibrate` CLI subcommand.
 DEFAULT_C = 1.681792830507429
 DEFAULT_CALIBRATION_SEED = 20240801
 DEFAULT_CALIBRATION_TRIALS = 4000
 # Confidence of the binomial lower bound each calibration cell must clear.
 CALIBRATION_CONFIDENCE = 0.99
+# The (mass, delta, omega) cells calibration covers, one per regime of the
+# contract, and the candidate constants it tries in order: 1.0 .. 64 in
+# quarter octaves.
+CALIBRATION_GRID = tuple(
+    (pa, delta, omega)
+    for pa in (0.01, 0.1, 0.5)
+    for delta in (0.2 * pa, 0.5 * pa, 0.05)
+    for omega in (0.05, 0.1, 0.25)
+)
+CALIBRATION_SWEEP = tuple(2 ** (j / 4) for j in range(25))
 
 
 def _fejer(delta: np.ndarray, m: int) -> np.ndarray:
@@ -168,18 +177,20 @@ class ProbEstimate:
 
 def queries_for(delta: float, omega: float, pa_upper: float, c: float | None = None) -> int:
     """Smallest m with ``m >= c*sqrt(pa)/(omega*delta)`` and ``m >= c/(omega*sqrt(delta))``."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:  # also rejects NaN
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     if not 0 < omega <= 0.5:
         raise ValueError("omega must lie in (0, 1/2]")
     if not 0.0 <= pa_upper <= 1.0:
         raise ValueError("pa_upper must lie in [0, 1]")
     c = DEFAULT_C if c is None else float(c)
-    if c <= 0:
-        raise ValueError("c must be positive")
-    m1 = math.ceil(c * math.sqrt(pa_upper) / (omega * delta))
-    m2 = math.ceil(c / (omega * math.sqrt(delta)))
-    return max(1, m1, m2)
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c!r}")
+    m1 = c * math.sqrt(pa_upper) / (omega * delta)
+    m2 = c / (omega * math.sqrt(delta))
+    if max(m1, m2) == math.inf:
+        raise ValueError(f"query count overflows at c={c!r}, delta={delta!r}")
+    return max(1, math.ceil(m1), math.ceil(m2))
 
 
 def _target_mass(o: OracleTable, target) -> float:
@@ -332,16 +343,6 @@ def coverage_probability(a: float, delta: float, m: int) -> float:
     return float(pmf[np.abs(estimates - a) <= delta].sum())
 
 
-def default_calibration_grid() -> list[tuple[float, float, float]]:
-    """Default (mass, delta, omega) cells covering the contract's regimes."""
-    cells = []
-    for pa in (0.01, 0.1, 0.5):
-        for delta in (0.2 * pa, 0.5 * pa, 0.05):
-            for omega in (0.05, 0.1, 0.25):
-                cells.append((pa, delta, omega))
-    return cells
-
-
 def _binomial_lcb(successes: int, trials: int) -> float:
     """One-sided lower confidence bound (Clopper-Pearson) on a success rate."""
     from scipy.stats import beta
@@ -353,17 +354,11 @@ def _binomial_lcb(successes: int, trials: int) -> float:
     return float(beta.ppf(1.0 - CALIBRATION_CONFIDENCE, successes, trials - successes + 1))
 
 
-def calibrate_constant(
-    grid=None,
-    trials_per_cell: int = 2000,
-    rng: np.random.Generator | None = None,
-    *,
-    sweep=None,
-) -> float:
-    """Smallest constant in a geometric sweep meeting the coverage contract.
+def calibrate_constant(trials_per_cell: int = 2000, rng: np.random.Generator | None = None) -> float:
+    """Smallest constant in ``CALIBRATION_SWEEP`` meeting the coverage contract.
 
-    For each candidate ``c`` and each grid cell ``(a, delta, omega)``, draws
-    how many of ``trials_per_cell`` estimates at
+    For each candidate ``c`` and each ``CALIBRATION_GRID`` cell
+    ``(a, delta, omega)``, draws how many of ``trials_per_cell`` estimates at
     ``m = queries_for(delta, omega, a, c)`` land within delta (a binomial
     count at the exact coverage probability) and requires the one-sided
     binomial lower confidence bound on that rate to reach ``1 - omega``.
@@ -374,15 +369,10 @@ def calibrate_constant(
     RuntimeError
         If no sweep value satisfies every cell.
     """
-    if grid is None:
-        grid = default_calibration_grid()
     if rng is None:
         rng = np.random.default_rng(DEFAULT_CALIBRATION_SEED)
-    if sweep is None:
-        sweep = [2 ** (j / 4) for j in range(25)]  # 1.0 .. 64, quarter octaves
-
-    for c in sweep:
-        for a, delta, omega in grid:
+    for c in CALIBRATION_SWEEP:
+        for a, delta, omega in CALIBRATION_GRID:
             coverage = min(1.0, coverage_probability(a, delta, queries_for(delta, omega, a, c)))
             hits = int(rng.binomial(trials_per_cell, coverage))
             if _binomial_lcb(hits, trials_per_cell) < 1.0 - omega:

@@ -119,6 +119,8 @@ def _pair_instance(args):
 
 
 def _estprob(args):
+    if not 0 <= args.pa <= 1:  # also rejects NaN
+        raise ValueError(f"--pa must lie in [0, 1], got {args.pa!r}")
     rng = np.random.default_rng(args.seed)
     frac = 1000
     count = round(args.pa * frac)

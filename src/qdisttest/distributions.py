@@ -102,7 +102,7 @@ class Distribution:
     __slots__ = ("starts", "levels", "n", "denominator", "_counts", "_weights", "_index")
 
     def __init__(self, counts, denominator: int):
-        arr = np.asarray(counts, dtype=np.int64)
+        arr = np.array(counts, dtype=np.int64)  # a copy: the caller's array stays writable
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("counts must be a non-empty 1-d integer vector")
         if arr.min() < 0:
@@ -240,7 +240,7 @@ class OracleTable:
     __slots__ = ("_table", "n", "s", "_dist")
 
     def __init__(self, table, n: int):
-        arr = np.asarray(table, dtype=np.int64)
+        arr = np.array(table, dtype=np.int64)  # a copy: the caller's array stays writable
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("oracle table must be a non-empty 1-d integer vector")
         n = int(n)

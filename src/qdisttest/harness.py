@@ -63,9 +63,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_csv(command: str, columns, rows, meta: dict | None = None) -> str:
+def render_csv(command: str, columns, rows, meta: dict) -> str:
     """Render rows with a versioned comment header and a column header."""
-    meta = dict(meta or {})
     meta_str = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(meta.items()))
     head = f"# qdisttest-csv schema={CSV_SCHEMA_VERSION} rng_stream={RNG_STREAM} command={command}"
     if meta_str:

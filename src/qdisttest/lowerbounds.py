@@ -55,7 +55,7 @@ class CollisionFunction:
     kind: str
 
     def __post_init__(self):
-        arr = np.asarray(self.table, dtype=np.int64)
+        arr = np.array(self.table, dtype=np.int64)  # a copy: the caller's array stays writable
         n = arr.size
         if n < 2 or n % 2:
             raise ValueError("domain size must be an even integer >= 2")
@@ -101,12 +101,9 @@ def _as_permutation(sigma, n: int) -> np.ndarray:
     return sigma
 
 
-def build_collision_oracles(
-    h: CollisionFunction,
-    sigma=None,
-    rng: np.random.Generator | None = None,
-) -> tuple[OracleTable, OracleTable]:
-    """Split the relabeled function into odd-input and even-input oracles.
+def build_collision_oracles(h: CollisionFunction, sigma) -> tuple[OracleTable, OracleTable]:
+    """Split the function relabeled by the domain permutation ``sigma`` into
+    odd-input and even-input oracles.
 
     With domain inputs numbered from 1, the first oracle reads the composed
     table at inputs 1, 3, 5, ... and the second at 2, 4, 6, ...; both have
@@ -115,13 +112,7 @@ def build_collision_oracles(
     for a two-to-one function their distance is governed by the parity
     structure of the relabeling (see :func:`matching_parity_distance`).
     """
-    if sigma is None:
-        if rng is None:
-            raise ValueError("provide sigma or an rng to draw it")
-        sigma = rng.permutation(h.n)
-    else:
-        sigma = _as_permutation(sigma, h.n)
-    composed = h.table[sigma]
+    composed = h.table[_as_permutation(sigma, h.n)]
     op = OracleTable(composed[0::2], h.range_size)
     oq = OracleTable(composed[1::2], h.range_size)
     return op, oq
@@ -262,8 +253,8 @@ def valiant_bound(p: Distribution, m: float, delta: float) -> float:
     """
     if not m > 0:  # written so that NaN fails too
         raise ValueError("rate parameter must be positive")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     if p.max_weight > delta / m:
         raise ValueError(
             f"precondition failed: max weight {p.max_weight:.3g} exceeds delta/m={delta / m:.3g}"
@@ -335,8 +326,8 @@ def corollary_report(n: int, a: int, delta: float) -> CorollaryReport:
         raise ValueError("n must be an even integer >= 2")
     if a < 0:
         raise ValueError("a must be a non-negative integer")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:  # also rejects NaN
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     m = 2.0**-a * math.sqrt(n)
     sup_weight = 2.0 / n
     precondition_ok = sup_weight <= delta / m

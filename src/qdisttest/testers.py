@@ -12,10 +12,12 @@ comes in two parameter modes:
     parameter formulas and for single-round experiments.
 
 ``practical``
-    The same algorithm structure with every constant exposed as a knob.
-    Defaults were chosen with the calibration harness so that the headline
-    2/3-success contracts hold at desk scale; they keep the same scaling in
-    the domain size.
+    The same algorithm structure with calibrated constants, chosen with the
+    calibration harness so that the headline 2/3-success contracts hold at
+    desk scale; they keep the same scaling in the domain size.
+
+In both modes the sample, query and round counts can be set explicitly;
+thresholds and the estimation constant cannot.
 """
 
 from __future__ import annotations
@@ -98,6 +100,19 @@ def _explicit(value, default):
     return default if value is None else value
 
 
+def _any_round_rejects(count: int, run_round, ledgers) -> TestVerdict:
+    """Run ``run_round(0)``, ``run_round(1)``, ... up to ``count`` rounds and
+    reject if any round rejects.  Rounds after a rejection are skipped; the
+    verdict is the same as running all of them.  ``ledgers`` are the ones the
+    rounds charge."""
+    rounds: list[RoundRecord] = []
+    for r in range(count):
+        rounds.append(run_round(r))
+        if rounds[-1].decision == "reject":
+            return TestVerdict(decision="reject", ledgers=ledgers, rounds=rounds)
+    return TestVerdict(decision="accept", ledgers=ledgers, rounds=rounds)
+
+
 # ---------------------------------------------------------------------------
 # Statistical difference
 
@@ -109,8 +124,8 @@ class StatDiffParams:
     ``epsilon`` is the additive precision target for the halved distance and
     ``tau`` the failure probability.  Paper mode sets the sample count to
     ``27 / (tau * eps^2)`` and the inner query count to
-    ``c * sqrt(N) / (eps^6 * tau^4)``; practical mode uses the module
-    defaults unless ``n`` / ``m_inner`` are given explicitly.
+    ``c * sqrt(N) / (eps^6 * tau^4)`` with ``c = DEFAULT_C``; practical mode
+    uses the module defaults unless ``n`` / ``m_inner`` are given explicitly.
     """
 
     epsilon: float = 0.1
@@ -118,7 +133,6 @@ class StatDiffParams:
     mode: str = "practical"
     n: int | None = None
     m_inner: int | None = None
-    c: float = DEFAULT_C
 
     def __post_init__(self):
         if self.mode not in ("paper", "practical"):
@@ -142,7 +156,7 @@ class StatDiffParams:
             return int(self.m_inner)
         root = math.sqrt(domain_size)
         if self.mode == "paper":
-            return math.ceil(self.c * root / (self.epsilon**6 * self.tau**4))
+            return math.ceil(DEFAULT_C * root / (self.epsilon**6 * self.tau**4))
         return math.ceil(PRACTICAL_STATDIFF_QUERY_MULT * root)
 
 
@@ -194,7 +208,8 @@ class UniformityParams:
     """Parameters for the uniformity tester.
 
     Paper mode: ``M = ceil((32 N / eps^4)^(1/3))`` samples per round,
-    ``K = ceil(c * exp(alpha) * N^(1/3) / eps^(4/3))`` estimation queries,
+    ``K = ceil(c * exp(alpha) * N^(1/3) / eps^(4/3))`` estimation queries
+    with ``c = DEFAULT_C``,
     ``L = ceil(4 * exp(alpha))`` rounds with ``alpha = 256 / eps^4``, and
     rejection threshold ``(1 + eps^2/8) * M / N``.  Beware: ``exp(alpha)``
     overflows to infinity for any realistic ``eps``; running the full
@@ -202,7 +217,8 @@ class UniformityParams:
 
     Practical mode: the same structure with calibrated defaults
     ``M ~ 0.25 * N^(1/3) / eps^(4/3)``, ``K ~ 300 * N^(1/3) / eps^(4/3)``,
-    one round, and threshold factor ``1 + eps^2/4``.
+    one round, and threshold factor ``1 + eps^2/4``.  The threshold is the
+    factor times ``M / N``, for the default or the explicit ``M``.
     """
 
     epsilon: float = 0.5
@@ -210,8 +226,6 @@ class UniformityParams:
     m_samples: int | None = None
     k_queries: int | None = None
     l_repeats: int | None = None
-    threshold_factor: float | None = None
-    c: float = DEFAULT_C
 
     def __post_init__(self):
         if self.mode not in ("paper", "practical"):
@@ -239,7 +253,7 @@ class UniformityParams:
             except OverflowError:
                 blowup = math.inf
             m = math.ceil((32.0 * n / eps**4) ** (1 / 3))
-            k, l = self.c * blowup * base, 4.0 * blowup
+            k, l = DEFAULT_C * blowup * base, 4.0 * blowup
             factor = 1.0 + eps**2 / 8.0
         else:
             m = max(4, math.ceil(PRACTICAL_UNIFORMITY_SAMPLE_MULT * base))
@@ -249,8 +263,7 @@ class UniformityParams:
         m = _explicit(self.m_samples, m)
         k = _explicit(self.k_queries, k)
         l = _explicit(self.l_repeats, l)
-        threshold = _explicit(self.threshold_factor, factor) * m / n
-        return m, k, l, threshold
+        return m, k, l, factor * m / n
 
 
 def utest(
@@ -302,24 +315,17 @@ def uniformity_test(
     params: UniformityParams,
     rng: np.random.Generator,
 ) -> TestVerdict:
-    """Repetition wrapper: run up to L independent rounds, reject if any
-    round rejects.  Rounds after a rejection are skipped; the verdict is the
-    same as running all of them."""
+    """Repetition wrapper: up to L independent rounds of :func:`utest`,
+    rejecting if any round rejects."""
     _, _, l, _ = params.resolved(o.n)
     if not math.isfinite(l) or l > 10**7:
         raise RuntimeError(
             f"round count {l} is not runnable; use practical mode or set l_repeats"
         )
     ledger = QueryLedger()
-    rounds: list[RoundRecord] = []
-    decision = "accept"
-    for r in range(int(l)):
-        rec = utest(o, params, rng, ledger, round_index=r)
-        rounds.append(rec)
-        if rec.decision == "reject":
-            decision = "reject"
-            break
-    return TestVerdict(decision=decision, ledgers={"p": ledger}, rounds=rounds)
+    return _any_round_rejects(
+        int(l), lambda r: utest(o, params, rng, ledger, round_index=r), {"p": ledger}
+    )
 
 
 def sampled_mass(
@@ -351,7 +357,6 @@ class OrthogonalityParams:
     epsilon: float = 0.5
     m_samples: int | None = None
     k_queries: int | None = None
-    threshold: float | None = None
     rounds: int = 8
 
     def __post_init__(self):
@@ -366,8 +371,8 @@ class OrthogonalityParams:
         default = math.ceil(n ** (1 / 3) / self.epsilon)
         m = _explicit(self.m_samples, default)
         k = _explicit(self.k_queries, default)
-        threshold = _explicit(self.threshold, self.epsilon**3 * m / (2**12 * n))
-        if threshold <= 0:
+        threshold = self.epsilon**3 * m / (2**12 * n)
+        if threshold <= 0:  # eps**3 underflows below eps ~ 1e-108; every round would reject
             raise ValueError("threshold must be positive")
         return m, k, threshold
 
@@ -417,13 +422,9 @@ def orthogonality_test(
     Disjoint pairs are accepted always; pairs with L1 distance at most
     ``2 - eps`` are rejected with probability at least ``1 - (3/4)^rounds``.
     Rounds after a rejection are skipped."""
-    ledgers = {"p": QueryLedger(), "q": QueryLedger()}
-    rounds: list[RoundRecord] = []
-    decision = "accept"
-    for r in range(params.rounds):
-        rec = otest(op, oq, params, rng, ledgers["p"], ledgers["q"], round_index=r)
-        rounds.append(rec)
-        if rec.decision == "reject":
-            decision = "reject"
-            break
-    return TestVerdict(decision=decision, ledgers=ledgers, rounds=rounds)
+    lp, lq = QueryLedger(), QueryLedger()
+    return _any_round_rejects(
+        params.rounds,
+        lambda r: otest(op, oq, params, rng, lp, lq, round_index=r),
+        {"p": lp, "q": lq},
+    )

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdisttest import amplitude
 from qdisttest.amplitude import (
+    CALIBRATION_GRID,
     DEFAULT_C,
     ae_outcome_pmf,
     calibrate_constant,
@@ -317,6 +319,13 @@ def test_queries_for_validation():
         queries_for(0.1, 0.6, 0.5)
     with pytest.raises(ValueError):
         queries_for(0.1, 0.1, 1.5)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"delta must be positive and finite, got {value}"):
+            queries_for(value, 0.1, 0.5)
+        with pytest.raises(ValueError, match=f"c must be positive and finite, got {value}"):
+            queries_for(0.1, 0.1, 0.5, value)
+    with pytest.raises(ValueError, match="overflows"):
+        queries_for(0.05, 0.1, 0.5, 1e308)
 
 
 def test_queries_for_satisfies_inequalities():
@@ -326,18 +335,19 @@ def test_queries_for_satisfies_inequalities():
     assert m >= DEFAULT_C / (omega * math.sqrt(delta))
 
 
-def test_calibrate_degenerate_grid_returns_smallest():
+def test_calibrate_degenerate_grid_returns_smallest(monkeypatch):
+    monkeypatch.setattr(amplitude, "CALIBRATION_GRID", ((0.0, 0.1, 0.1),))
     rng = np.random.default_rng(8)
-    c = calibrate_constant(grid=[(0.0, 0.1, 0.1)], trials_per_cell=200, rng=rng)
+    c = calibrate_constant(trials_per_cell=200, rng=rng)
     assert c == 1.0
 
 
-def test_calibrate_sweep_exhaustion():
+def test_calibrate_sweep_exhaustion(monkeypatch):
+    monkeypatch.setattr(amplitude, "CALIBRATION_GRID", ((0.5, 0.05, 0.05),))
+    monkeypatch.setattr(amplitude, "CALIBRATION_SWEEP", (1e-3,))
     rng = np.random.default_rng(9)
     with pytest.raises(RuntimeError, match="exhausted"):
-        calibrate_constant(
-            grid=[(0.5, 0.05, 0.05)], trials_per_cell=400, rng=rng, sweep=[1e-3]
-        )
+        calibrate_constant(trials_per_cell=400, rng=rng)
 
 
 def test_coverage_trend_in_constant():
@@ -354,9 +364,8 @@ def test_coverage_trend_in_constant():
 
 
 def test_default_constant_meets_exact_coverage():
-    from qdisttest.amplitude import default_calibration_grid
-
-    for pa, delta, omega in default_calibration_grid():
+    assert len(CALIBRATION_GRID) == 27
+    for pa, delta, omega in CALIBRATION_GRID:
         m = queries_for(delta, omega, pa, DEFAULT_C)
         assert coverage_probability(pa, delta, m) >= 1 - omega
 

@@ -60,6 +60,17 @@ def test_value_types_are_frozen():
         o.table[0] = 1
 
 
+def test_constructors_copy_the_callers_array():
+    counts = np.array([1, 2])
+    p = Distribution(counts, 3)
+    counts[0] = 5
+    assert p.counts.tolist() == [1, 2] and p == Distribution([1, 2], 3)
+    table = np.array([0, 1, 1])
+    o = OracleTable(table, 2)
+    table[0] = 1
+    assert o.table.tolist() == [0, 1, 1] and o.distribution() == Distribution([1, 2], 3)
+
+
 # ---------------------------------------------------------------------------
 # make_oracle / distribution_of
 

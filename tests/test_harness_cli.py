@@ -284,10 +284,29 @@ def test_cli_rejects_non_positive_counts():
     ["uniformity", "--eps", "nan", "--trials", "2"],
     ["orthogonality", "--eps", "inf", "--trials", "2"],
     ["orthogonality", "--eps", "nan", "--trials", "2"],
+    ["estprob", "--c", "inf"],
+    ["estprob", "--delta", "inf"],
+    ["estprob", "--delta", "nan"],
+    ["estprob", "--pa", "nan"],
+    ["corollary", "--delta", "nan"],
+    ["corollary", "--delta", "inf"],
+    ["lb-fingerprint", "--n", "100", "--trials", "2", "--delta", "inf"],
 ])
 def test_cli_invalid_counts_are_config_errors(argv, capsys):
     assert run_cli(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estprob", "--c", "inf", "--trials", "2"], "c must be positive and finite, got inf"),
+    (["estprob", "--c", "1e308", "--trials", "2"], "query count overflows at c=1e+308, delta=0.05"),
+    (["estprob", "--delta", "nan", "--trials", "2"], "delta must be positive and finite, got nan"),
+    (["estprob", "--pa", "nan", "--trials", "2"], "--pa must lie in [0, 1], got nan"),
+    (["corollary", "--delta", "inf"], "delta must be positive and finite, got inf"),
+])
+def test_non_finite_values_are_named(argv, message, capsys):
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_non_finite_eps_names_epsilon(capsys):

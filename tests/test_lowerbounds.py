@@ -61,7 +61,7 @@ def test_constructors_produce_valid_kinds():
 def test_split_oracle_shapes():
     rng = np.random.default_rng(1)
     h = CollisionFunction.two_to_one(16, rng)
-    op, oq = build_collision_oracles(h, rng=rng)
+    op, oq = build_collision_oracles(h, rng.permutation(h.n))
     assert op.s == oq.s == 8
     assert op.n == oq.n == 24
 
@@ -256,6 +256,11 @@ def test_valiant_bound_precondition():
     for m, delta in ((math.nan, 0.05), (1.0, math.nan), (0.0, 0.05), (1.0, -1.0)):
         with pytest.raises(ValueError, match="positive"):
             valiant_bound(uniform(100), m, delta)
+    for delta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"delta must be positive and finite, got {delta}"):
+            valiant_bound(uniform(100), 1.0, delta)
+        with pytest.raises(ValueError, match=f"delta must be positive and finite, got {delta}"):
+            corollary_report(10**6, 5, delta)
 
 
 def test_valiant_bound_half_support_chain():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qdisttest.amplitude import DEFAULT_C
 from qdisttest.baselines import collision_pair_count
 from qdisttest.distributions import (
     Distribution,
@@ -136,7 +137,7 @@ def test_est_dist_paper_mode_formulas():
     params = StatDiffParams(epsilon=1.0, tau=1 / 3, mode="paper")
     assert params.sample_count() == math.ceil(27 / ((1 / 3) * 1.0**2))
     m = params.inner_queries(10**4)
-    assert m == math.ceil(params.c * 100 / (1.0**6 * (1 / 3) ** 4))
+    assert m == math.ceil(DEFAULT_C * 100 / (1.0**6 * (1 / 3) ** 4))
 
 
 def test_est_dist_paper_mode_runs_and_meets_contract():
@@ -175,10 +176,14 @@ def test_uniformity_params_paper_formulas():
 def test_params_keep_explicit_values_and_reject_non_positive_counts():
     n = 1000
     m, k, l, threshold = UniformityParams(
-        epsilon=0.5, m_samples=1, k_queries=1, l_repeats=1, threshold_factor=0.0
+        epsilon=0.5, m_samples=1, k_queries=1, l_repeats=1
     ).resolved(n)
-    assert (m, k, l, threshold) == (1, 1, 1, 0.0)
-    assert OrthogonalityParams(epsilon=0.5, m_samples=1, k_queries=1).resolved(n)[:2] == (1, 1)
+    # the threshold follows the explicit M
+    assert (m, k, l, threshold) == (1, 1, 1, (1 + 0.25 * 0.5**2) * 1 / n)
+    m, k, threshold = OrthogonalityParams(epsilon=0.5, m_samples=1, k_queries=1).resolved(n)
+    assert (m, k, threshold) == (1, 1, 0.5**3 * 1 / (2**12 * n))
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        OrthogonalityParams(epsilon=1e-110, m_samples=1, k_queries=1).resolved(n)
     for field in ("m_samples", "k_queries", "l_repeats"):
         for value in (0, -3):
             with pytest.raises(ValueError, match="must be positive"):
