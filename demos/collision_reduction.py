@@ -1,25 +1,21 @@
 """Turning function-collision instances into orthogonality instances.
 
-A function on n inputs promised injective or exactly two-to-one is composed
-with a random relabeling and split into odd-input and even-input oracles.
+A function on n inputs promised injective or exactly two-to-one is relabeled
+by a random domain permutation and split into odd-input and even-input oracles.
 Injective functions always yield orthogonal pairs (distance exactly 2).
 Two-to-one functions induce a random perfect matching on the domain, and the
 distance is 2 - (4/n) * (#matched pairs straddling the parity classes) --
 computable two independent ways, which this script cross-checks.
 """
 
-from collections import Counter
-
 import numpy as np
 
 from qdisttest import (
     CollisionFunction,
     build_collision_oracles,
-    cross_parity_count,
     distribution_of,
     l1_distance,
     matching_parity_distance,
-    sequential_matching_sampler,
 )
 
 rng = np.random.default_rng(64)
@@ -47,15 +43,14 @@ print(f"1000 relabelings: distance mean {vals.mean():.4f}, "
       f"max {vals.max():.4f}, Pr[<= 7/4] = {(vals <= 1.75).mean():.3f}")
 print("(the reduction needs distance <= 7/4 with probability >= 1/2)")
 
-print("\n=== the matching sampler behind the analysis ===")
-counts = Counter(
-    tuple(sorted(tuple(sorted(p)) for p in sequential_matching_sampler(4, rng).tolist()))
-    for _ in range(30000)
-)
-print("n=4 matchings and their frequencies (should each be ~1/3):")
-for key, c in sorted(counts.items()):
-    print(f"  {key}: {c / 30000:.4f}")
-
-cross = [cross_parity_count(sequential_matching_sampler(64, rng)) for _ in range(2000)]
-print(f"n=64: cross-parity pairs per matching: mean {np.mean(cross):.2f} of 32, "
-      f"min {min(cross)} (analysis only needs >= 4 half the time)")
+print("\n=== the matchings behind the analysis ===")
+# A uniformly random relabeling induces a uniformly random perfect matching,
+# and distance d leaves (2 - d) * n/4 matched pairs straddling the parities.
+n = 64
+h = CollisionFunction.two_to_one(n, rng)
+cross = np.array([
+    (2 - matching_parity_distance(h, rng.permutation(n))) * n / 4 for _ in range(2000)
+])
+print(f"n={n}: cross-parity pairs per relabeling: mean {cross.mean():.2f} of {n // 2}, "
+      f"min {cross.min():.0f}, Pr[< n/16] = {(cross < n / 16).mean():.3f} "
+      "(the analysis needs >= n/16 half the time)")

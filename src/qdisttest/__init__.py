@@ -50,13 +50,11 @@ from .lowerbounds import (
     Fingerprint,
     build_collision_oracles,
     corollary_report,
-    cross_parity_count,
     empirical_fingerprint_tv,
     fingerprint_of,
     matching_parity_distance,
     poissonized_occupation,
     sample_poissonized_fingerprint,
-    sequential_matching_sampler,
     valiant_bound,
 )
 from .testers import (
@@ -73,4 +71,4 @@ from .testers import (
     utest,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

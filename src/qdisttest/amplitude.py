@@ -46,6 +46,7 @@ __all__ = [
     "est_probs",
     "coverage_probability",
     "queries_for",
+    "check_accuracy",
     "calibrate_constant",
     "save_calibration",
     "load_calibration",
@@ -128,7 +129,7 @@ def unitary_reference_pmf(o: OracleTable, target, m: int) -> np.ndarray:
     """Outcome law from a dense simulation of the full estimation network.
 
     Builds the s-dimensional rotation operator explicitly (reflection about
-    the uniform state composed with the marked-input phase flip), runs the
+    the uniform state after the marked-input phase flip), runs the
     controlled-power ladder against an m-point register, applies the inverse
     discrete Fourier transform, and reads off the register measurement
     distribution.  Exponentially more expensive than :func:`ae_outcome_pmf`;
@@ -175,20 +176,27 @@ class ProbEstimate:
     target_set_mass: float
 
 
-def queries_for(delta: float, omega: float, pa_upper: float, c: float | None = None) -> int:
-    """Smallest m with ``m >= c*sqrt(pa)/(omega*delta)`` and ``m >= c/(omega*sqrt(delta))``."""
-    if not 0 < delta < math.inf:  # also rejects NaN
+def check_accuracy(delta: float, omega: float) -> None:
+    """Reject an accuracy ``delta`` that is not positive and finite, or a
+    failure probability ``omega`` outside (0, 1/2]; NaN fails both."""
+    if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
     if not 0 < omega <= 0.5:
-        raise ValueError("omega must lie in (0, 1/2]")
+        raise ValueError(f"omega must lie in (0, 1/2], got {omega!r}")
+
+
+def queries_for(delta: float, omega: float, pa_upper: float, c: float | None = None) -> int:
+    """Smallest m with ``m >= c*sqrt(pa)/(omega*delta)`` and ``m >= c/(omega*sqrt(delta))``."""
+    check_accuracy(delta, omega)
     if not 0.0 <= pa_upper <= 1.0:
         raise ValueError("pa_upper must lie in [0, 1]")
     c = DEFAULT_C if c is None else float(c)
     if not 0 < c < math.inf:
         raise ValueError(f"c must be positive and finite, got {c!r}")
-    m1 = c * math.sqrt(pa_upper) / (omega * delta)
+    # omega * delta can underflow to 0 for a tiny delta: then m1 is too large.
+    m1 = c * math.sqrt(pa_upper) / (omega * delta) if omega * delta else math.inf
     m2 = c / (omega * math.sqrt(delta))
-    if max(m1, m2) == math.inf:
+    if max(m1, m2) >= 2**63:  # outcomes are stored as int64
         raise ValueError(f"query count overflows at c={c!r}, delta={delta!r}")
     return max(1, math.ceil(m1), math.ceil(m2))
 
@@ -309,10 +317,11 @@ def est_probs(
     and the generator's final state are those of the matching sequence of
     ``est_prob(oracle, (element,), m, rng, ledger)`` calls.  Charges
     ``m * len(elements)`` quantum applications to each oracle's ledger.
+    The outcomes are int64, so ``m`` must lie below ``2**63``.
     """
     m = int(m)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    if not 1 <= m < 2**63:
+        raise ValueError(f"m must be a positive integer below 2**63, got {m}")
     n = oracles[0].n
     if any(o.n != n for o in oracles):
         raise ValueError("oracles must share a support size")

@@ -128,6 +128,7 @@ def _estprob(args):
         raise ValueError("--pa must be a multiple of 0.001 so the oracle is exact")
     dist = distributions.Distribution(np.array([count, frac - count], dtype=np.int64), frac)
     oracle = distributions.make_oracle(dist, frac)
+    amplitude.check_accuracy(args.delta, args.omega)  # even when --m sets m
     m = args.m or amplitude.queries_for(args.delta, args.omega, args.pa, args.c)
 
     targets = np.zeros(args.trials, dtype=np.int64)  # every trial estimates element 0

@@ -87,8 +87,8 @@ class Distribution:
     Block ``j`` holds the elements from ``starts[j]`` up to the next start (or
     ``n``), each with count ``levels[j]``; an element's weight is its count
     over ``denominator``.  The blocks are canonical (maximal runs of equal
-    counts), so equality and hashing read only the blocks.  ``counts`` and
-    ``weights`` are built on first read.
+    counts), so equality and hashing read only the blocks.  ``counts`` is
+    built on first read.
 
     Parameters
     ----------
@@ -99,7 +99,7 @@ class Distribution:
         Common denominator; must equal ``sum(counts)``.
     """
 
-    __slots__ = ("starts", "levels", "n", "denominator", "_counts", "_weights", "_index")
+    __slots__ = ("starts", "levels", "n", "denominator", "_counts", "_index")
 
     def __init__(self, counts, denominator: int):
         arr = np.array(counts, dtype=np.int64)  # a copy: the caller's array stays writable
@@ -146,28 +146,20 @@ class Distribution:
         levels.flags.writeable = False
         self.starts, self.levels = starts, levels
         self.n, self.denominator = int(n), denominator
-        self._counts = self._weights = self._index = None
+        self._counts = self._index = None
 
-    def _sizes(self) -> np.ndarray:
+    def sizes(self) -> np.ndarray:
+        """Number of elements in each block."""
         return np.diff(self.starts, append=self.n)
 
     @property
     def counts(self) -> np.ndarray:
         """Count of every element (read-only; built on first read)."""
         if self._counts is None:
-            c = np.repeat(self.levels, self._sizes())
+            c = np.repeat(self.levels, self.sizes())
             c.flags.writeable = False
             self._counts = c
         return self._counts
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Float view ``counts / denominator`` (computed once)."""
-        if self._weights is None:
-            w = self.counts / self.denominator
-            w.flags.writeable = False
-            self._weights = w
-        return self._weights
 
     @property
     def max_weight(self) -> float:
@@ -196,7 +188,7 @@ class Distribution:
         ``pos`` lies in block ``j = bounds.searchsorted(pos, "right")`` and
         holds element ``(pos + shifts[j]) // levels[j]``."""
         live = self.levels > 0
-        levels, first, sizes = self.levels[live], self.starts[live], self._sizes()[live]
+        levels, first, sizes = self.levels[live], self.starts[live], self.sizes()[live]
         if np.any(first + sizes > (2**63 - 1) // levels):
             raise ValueError("element-order table positions of this distribution overflow int64")
         ends = np.cumsum(levels * sizes)  # table position after each block
@@ -274,13 +266,6 @@ class OracleTable:
         if self._dist is None:
             self._dist = Distribution(np.bincount(self._table, minlength=self.n), self.s)
         return self._dist
-
-    def compose(self, sigma) -> "OracleTable":
-        """Return the oracle ``s -> table[sigma[s]]`` for a domain permutation."""
-        sigma = np.asarray(sigma, dtype=np.int64)
-        if sigma.size != self.s or not np.array_equal(np.sort(sigma), np.arange(self.s)):
-            raise ValueError("sigma must be a permutation of the oracle domain")
-        return OracleTable(self.table[sigma], self.n)
 
     def __repr__(self) -> str:
         return f"OracleTable(s={self.s}, n={self.n})"
@@ -391,7 +376,7 @@ def moment(p: Distribution, k: int) -> float:
         raise ValueError("moment order must be >= 1")
     if k == 1:
         return 1.0
-    return float((p._sizes() * (p.levels / p.denominator) ** k).sum())
+    return float((p.sizes() * (p.levels / p.denominator) ** k).sum())
 
 
 def _as_fraction(x, name: str = "epsilon") -> Fraction:

@@ -43,7 +43,9 @@ CSV_SCHEMA_VERSION = "1"
 # Stream 2: the m-independent outcome sampler, batched est_dist mixture
 # draws, and the uniformity instance shuffled from its own child stream.
 # Stream 3: oracles are built in element order, drawing nothing.
-RNG_STREAM = "3"
+# Stream 4: Poissonized fingerprints draw their samples through the
+# distribution's oracle (classical_samples), not through a multinomial.
+RNG_STREAM = "4"
 
 # Whole-run error targets and sweep grids for the scaling study.
 DEFAULT_TARGET_ERROR = 1 / 3

@@ -19,14 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, OracleTable
+from .distributions import Distribution, OracleTable, classical_samples, make_oracle
 
 __all__ = [
     "CollisionFunction",
     "build_collision_oracles",
     "matching_parity_distance",
-    "sequential_matching_sampler",
-    "cross_parity_count",
     "Fingerprint",
     "fingerprint_of",
     "poissonized_occupation",
@@ -105,16 +103,16 @@ def build_collision_oracles(h: CollisionFunction, sigma) -> tuple[OracleTable, O
     """Split the function relabeled by the domain permutation ``sigma`` into
     odd-input and even-input oracles.
 
-    With domain inputs numbered from 1, the first oracle reads the composed
+    With domain inputs numbered from 1, the first oracle reads the relabeled
     table at inputs 1, 3, 5, ... and the second at 2, 4, 6, ...; both have
     domain size n/2 and range 3n/2.  For an injective function the two
     generated distributions are uniform on disjoint sets, hence orthogonal;
     for a two-to-one function their distance is governed by the parity
     structure of the relabeling (see :func:`matching_parity_distance`).
     """
-    composed = h.table[_as_permutation(sigma, h.n)]
-    op = OracleTable(composed[0::2], h.range_size)
-    oq = OracleTable(composed[1::2], h.range_size)
+    relabeled = h.table[_as_permutation(sigma, h.n)]
+    op = OracleTable(relabeled[0::2], h.range_size)
+    oq = OracleTable(relabeled[1::2], h.range_size)
     return op, oq
 
 
@@ -130,53 +128,11 @@ def matching_parity_distance(h: CollisionFunction, sigma) -> float:
     if h.kind != TWO_TO_ONE:
         raise ValueError("parity formula applies to two-to-one functions only")
     sigma = _as_permutation(sigma, h.n)
-    composed = h.table[sigma]
-    order = np.argsort(composed, kind="stable")
+    relabeled = h.table[sigma]
+    order = np.argsort(relabeled, kind="stable")
     u, v = order[0::2], order[1::2]
     different = int(np.count_nonzero((u ^ v) & 1))
     return (2 * h.n - 4 * different) / h.n
-
-
-def sequential_matching_sampler(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random perfect matching on n vertices, built pair by pair.
-
-    At each step the next vertex to match is drawn from whichever parity
-    class is not larger, and its partner uniformly from all remaining
-    vertices.  Fixing which vertex gets matched next does not bias the
-    matching, so the output is uniform over all perfect matchings; the
-    side-selection rule additionally makes every step pair across parity
-    classes with probability at least 1/2.
-
-    Returns an (n/2, 2) array of vertex pairs.
-    """
-    if n < 2 or n % 2:
-        raise ValueError("n must be an even integer >= 2")
-    groups = [list(range(0, n, 2)), list(range(1, n, 2))]  # by parity
-
-    def pop_at(g: list[int], idx: int) -> int:
-        g[idx], g[-1] = g[-1], g[idx]
-        return g.pop()
-
-    pairs = np.empty((n // 2, 2), dtype=np.int64)
-    for step in range(n // 2):
-        even, odd = groups
-        if len(even) >= len(odd) and odd:
-            side = odd
-        elif even:
-            side = even
-        else:
-            side = odd
-        u = pop_at(side, int(rng.integers(len(side))))
-        j = int(rng.integers(len(even) + len(odd)))
-        v = pop_at(even, j) if j < len(even) else pop_at(odd, j - len(even))
-        pairs[step] = (u, v)
-    return pairs
-
-
-def cross_parity_count(matching: np.ndarray) -> int:
-    """Number of matched pairs whose endpoints have different parity."""
-    m = np.asarray(matching, dtype=np.int64)
-    return int(np.count_nonzero((m[:, 0] ^ m[:, 1]) & 1))
 
 
 @dataclass(frozen=True)
@@ -199,19 +155,20 @@ class Fingerprint:
         return dict(self.counts)
 
 
-def _fingerprint_from_multiplicities(mult: np.ndarray) -> Fingerprint:
-    if mult.size == 0:
-        return Fingerprint(())
-    orders, occur = np.unique(mult, return_counts=True)
-    return Fingerprint(tuple((int(r), int(c)) for r, c in zip(orders, occur)))
-
-
 def fingerprint_of(samples) -> Fingerprint:
     arr = np.asarray(samples)
     if arr.size == 0:
         return Fingerprint(())
     _, mult = np.unique(arr, return_counts=True)
-    return _fingerprint_from_multiplicities(mult)
+    orders, occur = np.unique(mult, return_counts=True)
+    return Fingerprint(tuple((int(r), int(c)) for r, c in zip(orders, occur)))
+
+
+def _poisson_draws(p: Distribution, m: float, rng: np.random.Generator) -> np.ndarray:
+    """A Poisson(m)-size i.i.d. sample from p, drawn through its oracle."""
+    if not m > 0:  # written so that NaN fails too
+        raise ValueError("rate parameter must be positive")
+    return classical_samples(make_oracle(p, p.denominator), int(rng.poisson(m)), rng)
 
 
 def poissonized_occupation(
@@ -219,25 +176,19 @@ def poissonized_occupation(
 ) -> np.ndarray:
     """Per-element occupation counts of a Poisson(m)-size i.i.d. sample.
 
-    Drawn as: sample the list length from Poisson(m), then the occupation
-    vector of that many i.i.d. draws.  Under this sampling the count of each
-    element i is marginally Poisson(m * p_i), independent across elements;
-    tests use that standard fact as the oracle for this implementation.
+    Drawn as: sample the list length from Poisson(m), then that many i.i.d.
+    classical samples.  Under this sampling the count of each element i is
+    marginally Poisson(m * p_i), independent across elements; tests use that
+    standard fact as the oracle for this implementation.
     """
-    if m <= 0:
-        raise ValueError("rate parameter must be positive")
-    k = int(rng.poisson(m))
-    if k == 0:
-        return np.zeros(p.n, dtype=np.int64)
-    return rng.multinomial(k, p.weights)
+    return np.bincount(_poisson_draws(p, m, rng), minlength=p.n)
 
 
 def sample_poissonized_fingerprint(
     p: Distribution, m: float, rng: np.random.Generator
 ) -> Fingerprint:
     """Fingerprint of a Poisson(m)-size i.i.d. sample from p."""
-    occupation = poissonized_occupation(p, m, rng)
-    return _fingerprint_from_multiplicities(occupation[occupation > 0])
+    return fingerprint_of(_poisson_draws(p, m, rng))
 
 
 def valiant_bound(p: Distribution, m: float, delta: float) -> float:
@@ -259,17 +210,19 @@ def valiant_bound(p: Distribution, m: float, delta: float) -> float:
         raise ValueError(
             f"precondition failed: max weight {p.max_weight:.3g} exceeds delta/m={delta / m:.3g}"
         )
-    base = m * p.weights
+    # One term per block: its size times its element's term.
+    sizes = p.sizes()
+    base = m * (p.levels / p.denominator)
     ref = m * (1.0 / p.n)
     total = 0.0
     prev = math.inf
     converged = False
     for k in range(2, SERIES_CAP + 1):
         powers = base**k
-        scaled_moment = float(powers.sum())
-        # Elementwise difference so the uniform distribution cancels exactly;
+        scaled_moment = float((sizes * powers).sum())
+        # Per-element difference so the uniform distribution cancels exactly;
         # clamp tiny negative rounding (the true difference is >= 0).
-        diff = max(0.0, float((powers - ref**k).sum()))
+        diff = max(0.0, float((sizes * (powers - ref**k)).sum()))
         term = 10.0 * diff / (math.factorial(k // 2) * math.sqrt(1.0 + scaled_moment))
         total += term
         if term < SERIES_TOL and term <= prev:

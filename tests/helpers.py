@@ -3,24 +3,6 @@
 import numpy as np
 
 
-def all_perfect_matchings(vertices):
-    """Yield every perfect matching on the given vertices (brute force)."""
-    vertices = list(vertices)
-    if not vertices:
-        yield ()
-        return
-    first = vertices[0]
-    for j in range(1, len(vertices)):
-        rest = vertices[1:j] + vertices[j + 1 :]
-        for sub in all_perfect_matchings(rest):
-            yield ((first, vertices[j]),) + sub
-
-
-def matching_key(pairs) -> tuple:
-    """Canonical hashable form of a matching."""
-    return tuple(sorted(tuple(sorted(p)) for p in pairs))
-
-
 def random_distribution(rng: np.random.Generator, n: int, max_count: int = 8):
     """Random exact distribution as (counts, denominator)."""
     counts = rng.integers(0, max_count + 1, size=n)

@@ -31,7 +31,7 @@ def test_render_csv_layout():
         {"seed": 7, "n": 10},
     )
     lines = text.splitlines()
-    assert lines[0] == "# qdisttest-csv schema=1 rng_stream=3 command=demo n=10 seed=7"
+    assert lines[0] == "# qdisttest-csv schema=1 rng_stream=4 command=demo n=10 seed=7"
     assert lines[1] == "trial,value"
     assert lines[2] == "0,0.5"
     assert text.endswith("\n")
@@ -291,6 +291,11 @@ def test_cli_rejects_non_positive_counts():
     ["corollary", "--delta", "nan"],
     ["corollary", "--delta", "inf"],
     ["lb-fingerprint", "--n", "100", "--trials", "2", "--delta", "inf"],
+    ["estprob", "--c", "1e200", "--trials", "2"],
+    ["estprob", "--m", "10000000000000000000000", "--trials", "2"],
+    ["estprob", "--delta", "5e-324", "--trials", "2"],
+    ["estprob", "--m", "10", "--delta", "nan", "--trials", "3"],
+    ["estprob", "--m", "10", "--omega", "nan", "--trials", "3"],
 ])
 def test_cli_invalid_counts_are_config_errors(argv, capsys):
     assert run_cli(argv) == 2
@@ -303,6 +308,9 @@ def test_cli_invalid_counts_are_config_errors(argv, capsys):
     (["estprob", "--delta", "nan", "--trials", "2"], "delta must be positive and finite, got nan"),
     (["estprob", "--pa", "nan", "--trials", "2"], "--pa must lie in [0, 1], got nan"),
     (["corollary", "--delta", "inf"], "delta must be positive and finite, got inf"),
+    (["estprob", "--m", "10", "--delta", "nan", "--trials", "3"],
+     "delta must be positive and finite, got nan"),
+    (["estprob", "--m", "10", "--omega", "nan", "--trials", "3"], "omega must lie in (0, 1/2], got nan"),
 ])
 def test_non_finite_values_are_named(argv, message, capsys):
     assert run_cli(argv) == 2
@@ -338,12 +346,14 @@ def run_limited(argv, tmp_path):
     ["orthogonality", "--pair", "overlapping"],
     ["estdist", "--pair", "overlapping"],
     ["baseline-orthogonality"],
+    ["lb-fingerprint"],
 ])
 def test_cli_runs_at_a_billion_elements_in_2_gib(argv, tmp_path):
     # every instance is a few blocks, so nothing is as long as the domain
     done = run_limited([*argv, "--n", "1000000000", "--trials", "2", "--out", "o.csv"], tmp_path)
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "o.csv").read_text().splitlines()[1].startswith("trial,")
+    header = "quantity," if argv[0] == "lb-fingerprint" else "trial,"
+    assert (tmp_path / "o.csv").read_text().splitlines()[1].startswith(header)
 
 
 def test_cli_out_of_memory_is_a_runtime_error(tmp_path):

@@ -1,7 +1,5 @@
 import itertools
 import math
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qdisttest.distributions import (
+    Distribution,
+    biased_pair,
     distribution_of,
     half_support,
     l1_distance,
@@ -16,22 +16,20 @@ from qdisttest.distributions import (
 )
 from qdisttest.lowerbounds import (
     ONE_TO_ONE,
+    SERIES_CAP,
+    SERIES_TOL,
     TWO_TO_ONE,
     CollisionFunction,
     Fingerprint,
     build_collision_oracles,
     corollary_report,
-    cross_parity_count,
     empirical_fingerprint_tv,
     fingerprint_of,
     matching_parity_distance,
     poissonized_occupation,
     sample_poissonized_fingerprint,
-    sequential_matching_sampler,
     valiant_bound,
 )
-
-from helpers import all_perfect_matchings, matching_key
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +90,11 @@ def test_matched_pair_masses():
     sigma = np.array([0, 1, 2, 3])  # pairs (0,1) and (2,3), both cross-parity
     op, oq = build_collision_oracles(h, sigma)
     p, q = distribution_of(op), distribution_of(oq)
-    assert p.weights[0] == q.weights[0] == 2 / 4
+    assert p.counts[0] / p.denominator == q.counts[0] / q.denominator == 2 / 4
     sigma = np.array([0, 2, 1, 3])  # pairs (0,2)/(1,3), both same-parity
     op, oq = build_collision_oracles(h, sigma)
     p, q = distribution_of(op), distribution_of(oq)
-    assert p.weights[0] == 4 / 4 and q.weights[0] == 0.0
+    assert p.counts[0] / p.denominator == 4 / 4 and q.counts[0] == 0
 
 
 def test_parity_formula_edge_values():
@@ -126,49 +124,6 @@ def test_two_to_one_distance_rarely_near_two():
         matching_parity_distance(h, rng.permutation(n)) <= 7 / 4 for _ in range(300)
     )
     assert below / 300 >= 0.5
-
-
-# ---------------------------------------------------------------------------
-# matching sampler
-
-
-def test_matching_sampler_trivial():
-    rng = np.random.default_rng(6)
-    pairs = sequential_matching_sampler(2, rng)
-    assert matching_key(pairs) == ((0, 1),)
-    assert cross_parity_count(pairs) == 1
-
-
-def test_matching_sampler_uniform_n4():
-    rng = np.random.default_rng(7)
-    c = Counter(matching_key(sequential_matching_sampler(4, rng)) for _ in range(30000))
-    assert len(c) == 3
-    for key, count in c.items():
-        assert abs(count / 30000 - 1 / 3) < 0.02
-
-
-@pytest.mark.parametrize("n,trials", [(6, 60000), (8, 120000)])
-def test_matching_sampler_uniform_exhaustive(n, trials):
-    rng = np.random.default_rng(8)
-    expected = {matching_key(m) for m in all_perfect_matchings(range(n))}
-    assert len(expected) == math.prod(range(1, n, 2))  # (n-1)!! matchings
-    c = Counter(matching_key(sequential_matching_sampler(n, rng)) for _ in range(trials))
-    assert set(c) == expected
-    # chi-square against the uniform law over all matchings
-    obs = np.array([c[k] for k in sorted(expected)])
-    _, pval = stats.chisquare(obs)
-    assert pval > 0.01
-
-
-def test_matching_sampler_parity_tail():
-    # the different-parity pair count is rarely below n/16
-    rng = np.random.default_rng(9)
-    n = 64
-    lows = sum(
-        cross_parity_count(sequential_matching_sampler(n, rng)) < n / 16
-        for _ in range(400)
-    )
-    assert lows / 400 <= 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +203,38 @@ def test_valiant_bound_uniform_is_exactly_flat():
     for n, m, delta in ((10, 2.0, 0.25), (100, 5.0, 0.25), (100, 4.9, 0.05), (1000, 5.0, 0.05)):
         u = uniform(n)
         assert valiant_bound(u, m, delta) == 40.0 * delta
+
+
+def _dense_valiant_bound(p, m, delta):
+    """valiant_bound's series summed element by element over p.counts."""
+    base = m * (p.counts / p.denominator)
+    ref = m * (1.0 / p.n)
+    total, prev = 0.0, math.inf
+    for k in range(2, SERIES_CAP + 1):
+        powers = base**k
+        diff = max(0.0, float((powers - ref**k).sum()))
+        term = 10.0 * diff / (math.factorial(k // 2) * math.sqrt(1.0 + float(powers.sum())))
+        total += term
+        if term < SERIES_TOL and term <= prev:
+            return 40.0 * delta + total
+        prev = term
+    raise AssertionError("dense series did not converge")
+
+
+@pytest.mark.parametrize("p", [
+    half_support(100),
+    half_support(10**4),
+    biased_pair(1000, 0.5)[0],
+    Distribution(np.repeat([5, 2, 0, 7, 1], [3, 7, 30, 1, 19]), 55),  # five blocks
+])
+def test_valiant_bound_blocks_match_dense_sum(p):
+    # the block-wise series equals the per-element one; only the summation
+    # order differs, so values agree to the last bits
+    for m in (0.5, 2.0, 0.2 * math.sqrt(p.n)):
+        delta = max(0.05, p.max_weight * m * 1.01)
+        assert valiant_bound(p, m, delta) == pytest.approx(
+            _dense_valiant_bound(p, m, delta), rel=1e-12, abs=0
+        )
 
 
 def test_valiant_bound_precondition():
