@@ -22,9 +22,24 @@ __all__ = [
 
 
 def collision_pair_count(samples) -> int:
-    """Number of colliding pairs in a sample list: sum over values of C(k, 2)."""
-    _, mult = np.unique(np.asarray(samples), return_counts=True)
-    return int((mult * (mult - 1) // 2).sum())
+    """Number of colliding pairs in a sample list: sum over values of C(k, 2).
+
+    Counts a sorted copy, so the input is left as it is.  The testers sort
+    their own fresh draws in place instead: each copy of a batch is pages
+    the allocator may hand back to the system and fault in again on the
+    next call, and ``np.unique``'s copies cost more than the sort itself.
+    """
+    return _sorted_collision_pairs(np.sort(np.asarray(samples), axis=None))
+
+
+def _sorted_collision_pairs(s: np.ndarray) -> int:
+    """Colliding pairs of the sorted array ``s``, from its runs of equal
+    neighbours: a value seen k times gives a run of k - 1 consecutive hits
+    of ``s[1:] == s[:-1]``, and C(k, 2) = 1 + 2 + ... + (k - 1) pairs."""
+    hits = np.flatnonzero(s[1:] == s[:-1])
+    runs = np.flatnonzero(np.diff(hits, prepend=-2) != 1)  # first hit of each run
+    k1 = np.diff(runs, append=hits.size)  # k - 1 per run
+    return int((k1 * (k1 + 1) // 2).sum())
 
 
 def classical_uniformity_test(
@@ -46,7 +61,8 @@ def classical_uniformity_test(
     if m < 2:
         raise ValueError("need at least two samples to count collisions")
     samples = classical_samples(o, m, rng, ledger)
-    c_hat = collision_pair_count(samples) / (m * (m - 1) / 2)
+    samples.sort()  # a fresh array, sorted in place
+    c_hat = _sorted_collision_pairs(samples) / (m * (m - 1) / 2)
     return "reject" if c_hat > (1.0 + epsilon**2 / 2.0) / o.n else "accept"
 
 
@@ -75,9 +91,11 @@ def classical_statdiff_plugin(
     if 16 * m < cells:  # few draws: count the values seen, not all n cells
         seen, idx = np.unique(np.concatenate((sp, sq)), return_inverse=True)
         sp, sq, cells = idx[:m], idx[m:], seen.size
-    hp, hq = np.bincount(sp, minlength=cells), np.bincount(sq, minlength=cells)
+    diff = np.bincount(sp, minlength=cells)
+    diff -= np.bincount(sq, minlength=cells)
+    np.abs(diff, out=diff)
     # Integer counts keep the sum exact; one division rounds once.
-    return int(np.abs(hp - hq).sum()) / (2 * m)
+    return int(diff.sum()) / (2 * m)
 
 
 def classical_orthogonality_test(
@@ -99,5 +117,6 @@ def classical_orthogonality_test(
     if m < 1:
         raise ValueError("need at least one sample")
     sp = classical_samples(op, m, rng, ledger_p)
-    sq = np.sort(classical_samples(oq, m, rng, ledger_q))  # look each of sp up in sq
+    sq = classical_samples(oq, m, rng, ledger_q)
+    sq.sort()  # a fresh array, sorted in place: look each of sp up in it
     return "reject" if np.any(sq[np.minimum(sq.searchsorted(sp), m - 1)] == sp) else "accept"

@@ -200,7 +200,10 @@ def valiant_bound(p: Distribution, m: float, delta: float) -> float:
 
     Requires ``max_i p_i <= delta / m``.  The series is truncated once terms
     fall below ``SERIES_TOL`` while already decreasing; the factorial
-    denominators guarantee convergence for any admissible input.
+    denominators guarantee convergence for any admissible input.  Where the
+    powers ``(m p_i)^k`` overflow a float before the series converges (from
+    ``m * max_i p_i`` of about 35) it raises ``ValueError``; the bound there
+    is already past 1e15, and no L1 distance exceeds 2.
     """
     if not m > 0:  # written so that NaN fails too
         raise ValueError("rate parameter must be positive")
@@ -217,18 +220,24 @@ def valiant_bound(p: Distribution, m: float, delta: float) -> float:
     total = 0.0
     prev = math.inf
     converged = False
-    for k in range(2, SERIES_CAP + 1):
-        powers = base**k
-        scaled_moment = float((sizes * powers).sum())
-        # Per-element difference so the uniform distribution cancels exactly;
-        # clamp tiny negative rounding (the true difference is >= 0).
-        diff = max(0.0, float((sizes * (powers - ref**k)).sum()))
-        term = 10.0 * diff / (math.factorial(k // 2) * math.sqrt(1.0 + scaled_moment))
-        total += term
-        if term < SERIES_TOL and term <= prev:
-            converged = True
-            break
-        prev = term
+    with np.errstate(over="ignore"):  # an overflowing series is rejected below
+        for k in range(2, SERIES_CAP + 1):
+            powers = base**k
+            scaled_moment = float((sizes * powers).sum())
+            if scaled_moment == math.inf:  # diff and ref**k never exceed it
+                raise ValueError(
+                    f"the moment series overflows a float at m={m:g} "
+                    f"(m times the largest weight is {m * p.max_weight:g})"
+                )
+            # Per-element difference so the uniform distribution cancels
+            # exactly; clamp tiny negative rounding (the true difference is >= 0).
+            diff = max(0.0, float((sizes * (powers - ref**k)).sum()))
+            term = 10.0 * diff / (math.factorial(k // 2) * math.sqrt(1.0 + scaled_moment))
+            total += term
+            if term < SERIES_TOL and term <= prev:
+                converged = True
+                break
+            prev = term
     if not converged:
         raise RuntimeError(f"moment series did not converge within {SERIES_CAP} terms")
     return 40.0 * delta + total

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from qdisttest.baselines import (
 )
 from qdisttest.distributions import (
     Distribution,
+    OracleTable,
     QueryLedger,
+    biased_pair,
     classical_samples,
     disjoint_pair,
     half_support,
@@ -32,6 +35,34 @@ def test_collision_pair_count_small_cases():
     assert collision_pair_count([1, 2, 3]) == 0
     assert collision_pair_count([1, 1, 2]) == 1
     assert collision_pair_count([5, 5, 5]) == 3
+    # against a Counter, on lists with triples, all-equal ones and lengths 0
+    # to 2; the count sorts a copy, so the input stays as it was
+    rng = np.random.default_rng(41)
+    lists = [[], [4], [4, 4], [4, 5], [2] * 9, [1, 2, 2, 1, 2, 3]]
+    lists += [rng.integers(0, rng.integers(1, 20), size=rng.integers(0, 40)) for _ in range(300)]
+    for samples in lists:
+        before = np.array(samples, copy=True)
+        expected = sum(k * (k - 1) // 2 for k in Counter(np.asarray(samples).tolist()).values())
+        assert collision_pair_count(samples) == expected
+        assert np.array_equal(samples, before)
+
+
+def test_baselines_leave_the_oracle_tables_unchanged():
+    # The baselines sort their draws in place; a draw must never be a view
+    # of an oracle's table.
+    rng = np.random.default_rng(42)
+    biased, _ = biased_pair(40, 0.5)
+    oracles = [make_oracle(uniform(40), 40), make_oracle(biased, biased.denominator)]
+    tables = [np.repeat(np.arange(40), o.distribution().counts) for o in oracles]
+    tables.append(rng.permutation(tables[1]))
+    oracles.append(OracleTable(tables[2], 40))
+    for o in oracles:
+        classical_uniformity_test(o, 30, 0.5, rng)
+        classical_statdiff_plugin(o, o, 30, rng)
+        classical_orthogonality_test(o, o, 30, rng)
+    for o, table in zip(oracles, tables):
+        assert np.array_equal(o.element_at(np.arange(o.s)), table)  # before the table is built
+        assert np.array_equal(o.table, table)
 
 
 def test_collision_statistic_unbiased():

@@ -201,6 +201,27 @@ def test_element_at_and_counts_at_match_the_dense_table():
         far.element_at(0)
 
 
+@pytest.mark.parametrize("blocks", [1, 2, 8, 64, 1000])
+def test_element_at_reads_every_block_of_many(blocks):
+    # The block lookup is a binary search padded to a power of two; check
+    # the first and last table slot of every block, around zero-count ones.
+    rng = np.random.default_rng(blocks)
+    # Steps of 1 to 4 mod 7: adjacent levels differ, so no blocks merge, and
+    # about one in seven is zero (never the first).
+    levels = np.cumsum(rng.integers(1, 5, size=blocks)) % 7
+    counts = np.repeat(levels, rng.integers(1, 4, size=blocks))
+    p = Distribution(counts, int(counts.sum()))
+    assert p.levels.size == blocks
+    table = np.repeat(np.arange(counts.size), counts)
+    ends = np.cumsum(counts)[counts > 0]
+    edges = np.unique(np.concatenate((ends - counts[counts > 0], ends - 1)))
+    assert np.array_equal(p.element_at(edges), table[edges])
+    assert all(p.element_at(np.int64(i)) == table[i] for i in edges)
+    pos = rng.integers(0, p.denominator, size=(3, 200))
+    assert np.array_equal(p.element_at(pos), table[pos])
+    assert np.array_equal(p.element_at(np.arange(p.denominator)), table)
+
+
 def test_blocks_are_maximal_runs():
     p = Distribution([0, 0, 2, 2, 2, 0, 1, 1], 8)
     assert p.starts.tolist() == [0, 2, 5, 6] and p.levels.tolist() == [0, 2, 0, 1]

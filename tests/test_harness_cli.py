@@ -291,6 +291,7 @@ def test_cli_rejects_non_positive_counts():
     ["corollary", "--delta", "nan"],
     ["corollary", "--delta", "inf"],
     ["lb-fingerprint", "--n", "100", "--trials", "2", "--delta", "inf"],
+    ["lb-fingerprint", "--n", "100", "--m", "1000000", "--trials", "20"],
     ["estprob", "--c", "1e200", "--trials", "2"],
     ["estprob", "--m", "10000000000000000000000", "--trials", "2"],
     ["estprob", "--delta", "5e-324", "--trials", "2"],
