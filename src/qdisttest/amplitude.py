@@ -49,7 +49,6 @@ __all__ = [
     "check_accuracy",
     "calibrate_constant",
     "save_calibration",
-    "load_calibration",
     "DEFAULT_C",
 ]
 
@@ -205,11 +204,6 @@ def _target_mass(o: OracleTable, target) -> float:
     dist = o.distribution()
     if not isinstance(target, np.ndarray):
         target = list(target)
-    if len(target) == 1:
-        i = int(target[0])
-        if not 0 <= i < o.n:
-            raise ValueError("target elements must lie in [0, n)")
-        return int(dist.counts_at(i)) / dist.denominator
     idx = np.sort(np.asarray(target, dtype=np.int64))
     if idx.size == 0:
         return 0.0
@@ -395,19 +389,3 @@ def save_calibration(path, c: float, grid_label: str, seed: int) -> None:
     """Persist a calibration result as plain-text key=value lines."""
     with open(path, "w", newline="\n") as fh:
         fh.write(f"c={c!r}\ngrid={grid_label}\nseed={seed}\n")
-
-
-def load_calibration(path) -> dict:
-    out: dict = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            out[key] = value
-    if "c" in out:
-        out["c"] = float(out["c"])
-    if "seed" in out:
-        out["seed"] = int(out["seed"])
-    return out

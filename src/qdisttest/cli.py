@@ -56,12 +56,12 @@ def _n(default):
 
 
 def _pair(default):
-    return _flag("--pair", choices=["identical", "disjoint", "overlapping"], default=default)
+    return _flag("--pair", choices=list(harness.PAIRS), default=default)
 
 
 EPS = _flag("--eps", type=float, default=0.5)
 MODE = _flag("--mode", choices=["paper", "practical"], default="practical")
-INSTANCE = _flag("--instance", choices=["uniform", "biased", "half_support"], default="uniform")
+INSTANCE = _flag("--instance", choices=list(harness.INSTANCES), default="uniform")
 SAMPLES = _count("--samples")
 K = _count("--k")
 OUTPUT = [
@@ -257,7 +257,7 @@ def _calibrate(args):
     rng = np.random.default_rng(args.seed)
     c = amplitude.calibrate_constant(trials_per_cell=args.trials, rng=rng)
     grid = "default-3x3x3"
-    if args.out:  # the plain-text record that amplitude.load_calibration reads
+    if args.out:
         amplitude.save_calibration(args.out, c, grid, args.seed)
         return None, f"c={c!r}"
     row = {"c": c, "grid": grid, "trials_per_cell": args.trials, "seed": args.seed}

@@ -34,6 +34,8 @@ __all__ = [
     "ScalingRow",
     "ScalingResult",
     "run_scaling",
+    "INSTANCES",
+    "PAIRS",
     "make_instance_pair",
     "make_instance",
 ]
@@ -47,13 +49,23 @@ CSV_SCHEMA_VERSION = "1"
 # distribution's oracle (classical_samples), not through a multinomial.
 RNG_STREAM = "4"
 
-# Whole-run error targets and sweep grids for the scaling study.
+# The scaling study's whole-run error target and statdiff settings.
 DEFAULT_TARGET_ERROR = 1 / 3
-UNIFORMITY_SWEEP = (75.0, 150.0, 300.0, 600.0)
-CLASSICAL_UNIFORMITY_SWEEP = (4.0, 8.0, 16.0, 32.0)
-STATDIFF_SWEEP = (50.0, 100.0, 200.0, 400.0)
 STATDIFF_SCALING_SAMPLES = 50
 STATDIFF_SCALING_TOLERANCE = 0.15
+
+# Instance names (the CLI's --instance and --pair choices), each mapped to a
+# function of (n, eps) that builds its distribution or pair.
+INSTANCES = {
+    "uniform": lambda n, eps: uniform(n),
+    "biased": lambda n, eps: biased_pair(n, eps)[0],
+    "half_support": lambda n, eps: half_support(n),
+}
+PAIRS = {
+    "identical": lambda n, eps: (uniform(n), uniform(n)),
+    "disjoint": lambda n, eps: disjoint_pair(n),
+    "overlapping": overlapping_pair,
+}
 
 
 def _fmt(value) -> str:
@@ -121,94 +133,69 @@ class ScalingResult:
 
 def make_instance(name: str, n: int, eps) -> OracleTable:
     """Single-distribution instances by name, realized as minimal-size oracles."""
-    if name == "uniform":
-        dist = uniform(n)
-    elif name == "half_support":
-        dist = half_support(n)
-    elif name == "biased":
-        dist, _ = biased_pair(n, eps)
-    else:
+    if name not in INSTANCES:
         raise ValueError(f"unknown instance {name!r}")
+    dist = INSTANCES[name](n, eps)
     return make_oracle(dist, dist.denominator)
 
 
 def make_instance_pair(name: str, n: int, eps) -> tuple[OracleTable, OracleTable, float]:
     """Pair instances by name; returns both oracles and their exact distance."""
-    if name == "identical":
-        u = uniform(n)
-        return make_oracle(u, n), make_oracle(u, n), 0.0
-    if name == "disjoint":
-        p, q = disjoint_pair(n)
-    elif name == "overlapping":
-        p, q = overlapping_pair(n, eps)
-    else:
+    if name not in PAIRS:
         raise ValueError(f"unknown instance pair {name!r}")
-    op = make_oracle(p, p.denominator)
-    oq = make_oracle(q, q.denominator)
-    return op, oq, l1_distance(p, q)
+    p, q = PAIRS[name](n, eps)
+    return make_oracle(p, p.denominator), make_oracle(q, q.denominator), l1_distance(p, q)
 
 
-def _uniformity_trial(constant, n, eps, trials, rng, classical: bool):
-    """Error rate and mean queries for one (n, constant) cell."""
-    u = uniform(n)
-    biased, _ = biased_pair(n, eps)
-    ou = make_oracle(u, n)
-    ob = make_oracle(biased, biased.denominator)
-    base = n ** (1 / 3) / eps ** (4 / 3)
-    wrong = 0
-    queries = 0
-    for oracle, should in ((ou, "accept"), (ob, "reject")):
-        for _ in range(trials):
-            if classical:
-                ledger = testers.QueryLedger()
-                m = max(2, math.ceil(constant * math.sqrt(n) / eps**2))
-                decision = baselines.classical_uniformity_test(oracle, m, eps, rng, ledger)
-                queries += ledger.total
-            else:
-                params = testers.UniformityParams(
-                    epsilon=eps, mode="practical", k_queries=math.ceil(constant * base)
-                )
-                verdict = testers.uniformity_test(oracle, params, rng)
-                decision = verdict.decision
-                queries += verdict.total_queries
-            wrong += decision != should
-    return wrong / (2 * trials), queries / (2 * trials)
+# ---------------------------------------------------------------------------
+# Scaling study: each tester is its cases at one n, a trial that runs one
+# case once and returns (missed, queries), and the constants swept upward.
 
 
-def _statdiff_trial(constant, n, eps, trials, rng, classical: bool):
-    """Error = rate of estimates off by more than the tolerance, on a
-    distance-0 pair and a distance-1 overlapping pair."""
-    del eps
-    cases = [
-        make_instance_pair("identical", n, None),
-        make_instance_pair("overlapping", n, 1),
+def _uniformity_cases(n, eps):
+    """The uniform instance, to accept, and the eps-far biased one, to reject."""
+    return [
+        (make_instance("uniform", n, eps), "accept"),
+        (make_instance("biased", n, eps), "reject"),
     ]
-    wrong = 0
-    queries = 0
-    for op, oq, distance in cases:
-        for _ in range(trials):
-            if classical:
-                lp, lq = testers.QueryLedger(), testers.QueryLedger()
-                m = max(1, math.ceil(constant * math.sqrt(n)))
-                est = baselines.classical_statdiff_plugin(op, oq, m, rng, lp, lq)
-                queries += lp.total + lq.total
-            else:
-                params = testers.StatDiffParams(
-                    mode="practical",
-                    n=STATDIFF_SCALING_SAMPLES,
-                    m_inner=math.ceil(constant * math.sqrt(n)),
-                )
-                result = testers.est_dist(op, oq, params, rng)
-                est = result.estimate
-                queries += sum(l.total for l in result.ledgers.values())
-            wrong += abs(est - distance / 2) > STATDIFF_SCALING_TOLERANCE
-    return wrong / (2 * trials), queries / (2 * trials)
+
+
+def _statdiff_cases(n, eps):
+    """A distance-0 and a distance-1 pair, each with its halved distance."""
+    del eps
+    pairs = [make_instance_pair("identical", n, None), make_instance_pair("overlapping", n, 1)]
+    return [((op, oq), distance / 2) for op, oq, distance in pairs]
+
+
+def _uniformity(oracle, should, constant, n, eps, rng):
+    # constant * n ** (1 / 3) / ... would round differently from this grouping
+    k = math.ceil(constant * (n ** (1 / 3) / eps ** (4 / 3)))
+    params = testers.UniformityParams(epsilon=eps, mode="practical", k_queries=k)
+    verdict = testers.uniformity_test(oracle, params, rng)
+    return verdict.decision != should, verdict.total_queries
+
+
+def _uniformity_classical(oracle, should, constant, n, eps, rng):
+    ledger = testers.QueryLedger()
+    m = max(2, math.ceil(constant * math.sqrt(n) / eps**2))
+    decision = baselines.classical_uniformity_test(oracle, m, eps, rng, ledger)
+    return decision != should, ledger.total
+
+
+def _statdiff(oracles, half_distance, constant, n, eps, rng):
+    """Missed = the estimate is off by more than the tolerance."""
+    params = testers.StatDiffParams(
+        mode="practical", n=STATDIFF_SCALING_SAMPLES, m_inner=math.ceil(constant * math.sqrt(n))
+    )
+    result = testers.est_dist(*oracles, params, rng)
+    missed = abs(result.estimate - half_distance) > STATDIFF_SCALING_TOLERANCE
+    return missed, sum(l.total for l in result.ledgers.values())
 
 
 _SCALING_TESTERS = {
-    "uniformity": (_uniformity_trial, UNIFORMITY_SWEEP, False),
-    "uniformity-classical": (_uniformity_trial, CLASSICAL_UNIFORMITY_SWEEP, True),
-    "statdiff": (_statdiff_trial, STATDIFF_SWEEP, False),
+    "uniformity": (_uniformity_cases, _uniformity, (75.0, 150.0, 300.0, 600.0)),
+    "uniformity-classical": (_uniformity_cases, _uniformity_classical, (4.0, 8.0, 16.0, 32.0)),
+    "statdiff": (_statdiff_cases, _statdiff, (50.0, 100.0, 200.0, 400.0)),
 }
 
 
@@ -219,14 +206,13 @@ def run_scaling(
     trials: int,
     seed: int,
     target_error: float = DEFAULT_TARGET_ERROR,
-    sweep=None,
 ) -> ScalingResult:
     """Calibrate constants per domain size, then fit the query-count exponent.
 
-    For each ``n``, the constant sweep is walked upward and the first value
-    whose empirical error (over ``trials`` runs per instance) is at most
-    ``target_error`` is retained; its mean total ledger queries become the
-    data point.  A point whose calibrated constant sits at the top of the
+    For each ``n``, the tester's constant sweep is walked upward and the
+    first value whose empirical error (over ``trials`` runs per case) is at
+    most ``target_error`` is retained; its mean total ledger queries become
+    the data point.  A point whose calibrated constant sits at the top of the
     sweep is flagged as saturated, and a saturated smallest-``n`` point is
     excluded from the fit (asymptotic claims need the asymptotic regime).
 
@@ -241,38 +227,34 @@ def run_scaling(
         raise ValueError(f"unknown scaling tester {tester!r}")
     if not 0 <= target_error < 1:  # also rejects NaN
         raise ValueError("target error must lie in [0, 1)")
-    trial_fn, default_sweep, classical = _SCALING_TESTERS[tester]
-    sweep = tuple(sweep) if sweep is not None else default_sweep
+    cases_at, trial, sweep = _SCALING_TESTERS[tester]
     n_values = [int(n) for n in n_values]
+    smallest = min(n_values)
 
+    # Cell (i, j) has its own stream, so the cells tried at one n leave the
+    # draws of every other n unchanged.
     rngs = spawn_rngs(seed, len(n_values) * len(sweep))
     rows: list[ScalingRow] = []
-    idx = 0
-    for n in n_values:
-        chosen = None
-        for constant in sweep:
-            err, mean_q = trial_fn(constant, n, epsilon, trials, rngs[idx], classical)
-            idx += 1
+    for i, n in enumerate(n_values):
+        for j, constant in enumerate(sweep):
+            rng = rngs[i * len(sweep) + j]
+            cases = cases_at(n, epsilon)
+            missed = queries = 0
+            for case in cases:
+                for _ in range(trials):
+                    miss, q = trial(*case, constant, n, epsilon, rng)
+                    missed += miss
+                    queries += q
+            runs = len(cases) * trials
+            err = missed / runs
             if err <= target_error:
-                chosen = ScalingRow(
-                    n=n,
-                    constant=constant,
-                    mean_queries=mean_q,
-                    error_rate=err,
-                    saturated=constant == sweep[-1],
-                    included_in_fit=True,
-                )
+                saturated = constant == sweep[-1]
+                fit = not (saturated and n == smallest)
+                rows.append(ScalingRow(n, constant, queries / runs, err, saturated, fit))
                 break
-        if chosen is None:
+        else:
             raise RuntimeError(f"calibration failed at n={n}: no sweep value met the target")
-        # skip the rng streams reserved for untried sweep values
-        idx += len(sweep) - sweep.index(chosen.constant) - 1
-        rows.append(chosen)
 
-    smallest = min(r.n for r in rows)
-    for r in rows:
-        if r.n == smallest and r.saturated:
-            r.included_in_fit = False
     fit_rows = [r for r in rows if r.included_in_fit]
     slope, stderr = fit_loglog([r.n for r in fit_rows], [r.mean_queries for r in fit_rows])
     return ScalingResult(tester=tester, rows=rows, slope=slope, slope_stderr=stderr)

@@ -73,15 +73,13 @@ class DistanceEstimate:
 
 @dataclass
 class RoundRecord:
-    """One round of a reject-if-any-round-rejects tester."""
+    """One round of a reject-if-any-round-rejects tester; the rounds' queries
+    are on the verdict's ledgers."""
 
-    index: int
     decision: str
     statistic: float | None  # the thresholded estimate, when one was made
     true_mass: float | None  # exact sampled-set mass (diagnostics only)
     collision: bool | None
-    classical_queries: int
-    quantum_queries: int
 
 
 @dataclass
@@ -101,13 +99,12 @@ def _explicit(value, default):
 
 
 def _any_round_rejects(count: int, run_round, ledgers) -> TestVerdict:
-    """Run ``run_round(0)``, ``run_round(1)``, ... up to ``count`` rounds and
-    reject if any round rejects.  Rounds after a rejection are skipped; the
-    verdict is the same as running all of them.  ``ledgers`` are the ones the
-    rounds charge."""
+    """Call ``run_round()`` up to ``count`` times and reject if any round
+    rejects.  Rounds after a rejection are skipped; the verdict is the same as
+    running all of them.  ``ledgers`` are the ones the rounds charge."""
     rounds: list[RoundRecord] = []
-    for r in range(count):
-        rounds.append(run_round(r))
+    for _ in range(count):
+        rounds.append(run_round())
         if rounds[-1].decision == "reject":
             return TestVerdict(decision="reject", ledgers=ledgers, rounds=rounds)
     return TestVerdict(decision="accept", ledgers=ledgers, rounds=rounds)
@@ -271,7 +268,6 @@ def utest(
     params: UniformityParams,
     rng: np.random.Generator,
     ledger: QueryLedger | None = None,
-    round_index: int = 0,
 ) -> RoundRecord:
     """One uniformity round: sample, reject on any collision, else threshold
     an estimate of the sampled set's mass.
@@ -288,26 +284,10 @@ def utest(
     samples = classical_samples(o, m, rng, ledger)
     ordered = np.sort(samples)
     if np.any(ordered[1:] == ordered[:-1]):
-        return RoundRecord(
-            index=round_index,
-            decision="reject",
-            statistic=None,
-            true_mass=None,
-            collision=True,
-            classical_queries=m,
-            quantum_queries=0,
-        )
+        return RoundRecord("reject", statistic=None, true_mass=None, collision=True)
     pe = est_prob(o, samples, int(k), rng, ledger)
     decision = "reject" if pe.estimate > threshold else "accept"
-    return RoundRecord(
-        index=round_index,
-        decision=decision,
-        statistic=pe.estimate,
-        true_mass=pe.target_set_mass,
-        collision=False,
-        classical_queries=m,
-        quantum_queries=int(k),
-    )
+    return RoundRecord(decision, pe.estimate, pe.target_set_mass, collision=False)
 
 
 def uniformity_test(
@@ -324,7 +304,7 @@ def uniformity_test(
         )
     ledger = QueryLedger()
     return _any_round_rejects(
-        int(l), lambda r: utest(o, params, rng, ledger, round_index=r), {"p": ledger}
+        int(l), lambda: utest(o, params, rng, ledger), {"p": ledger}
     )
 
 
@@ -384,7 +364,6 @@ def otest(
     rng: np.random.Generator,
     ledger_p: QueryLedger | None = None,
     ledger_q: QueryLedger | None = None,
-    round_index: int = 0,
 ) -> RoundRecord:
     """One orthogonality round.
 
@@ -400,15 +379,7 @@ def otest(
     samples = classical_samples(op, m, rng, ledger_p)
     qe = est_prob(oq, samples, k, rng, ledger_q)
     decision = "reject" if qe.estimate >= threshold else "accept"
-    return RoundRecord(
-        index=round_index,
-        decision=decision,
-        statistic=qe.estimate,
-        true_mass=qe.target_set_mass,
-        collision=None,
-        classical_queries=m,
-        quantum_queries=k,
-    )
+    return RoundRecord(decision, qe.estimate, qe.target_set_mass, collision=None)
 
 
 def orthogonality_test(
@@ -425,6 +396,6 @@ def orthogonality_test(
     lp, lq = QueryLedger(), QueryLedger()
     return _any_round_rejects(
         params.rounds,
-        lambda r: otest(op, oq, params, rng, lp, lq, round_index=r),
+        lambda: otest(op, oq, params, rng, lp, lq),
         {"p": lp, "q": lq},
     )

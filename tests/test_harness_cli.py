@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qdisttest import harness
 from qdisttest.cli import EXPERIMENTS, main
 from qdisttest.harness import (
     fit_loglog,
@@ -91,11 +92,18 @@ def test_run_scaling_statdiff_slope():
     assert all(r.error_rate <= 1 / 3 for r in result.rows)
 
 
-def test_run_scaling_excludes_saturated_smallest_point():
+def _with_sweep(monkeypatch, tester, sweep):
+    """Run ``tester``'s cases and trial over ``sweep`` instead of its own."""
+    cases, trial, _ = harness._SCALING_TESTERS[tester]
+    monkeypatch.setitem(harness._SCALING_TESTERS, tester, (cases, trial, sweep))
+
+
+def test_run_scaling_excludes_saturated_smallest_point(monkeypatch):
     # a one-value sweep makes every chosen constant "saturated"; the smallest
     # size is then dropped from the fit (but still reported)
+    _with_sweep(monkeypatch, "uniformity", (300.0,))
     ns = [10**3, 10**4, 10**5, 10**6, 4 * 10**6]
-    result = run_scaling("uniformity", ns, 0.5, trials=15, seed=3, sweep=(300.0,))
+    result = run_scaling("uniformity", ns, 0.5, trials=15, seed=3)
     assert all(r.saturated for r in result.rows)
     smallest = next(r for r in result.rows if r.n == 10**3)
     assert not smallest.included_in_fit
@@ -103,16 +111,11 @@ def test_run_scaling_excludes_saturated_smallest_point():
     assert 0.2 <= result.slope <= 0.45
 
 
-def test_run_scaling_calibration_failure():
+def test_run_scaling_calibration_failure(monkeypatch):
+    _with_sweep(monkeypatch, "uniformity", (1e-6,))
     with pytest.raises(RuntimeError, match="calibration failed"):
         run_scaling(
-            "uniformity",
-            [10**3, 10**4, 10**5, 10**6],
-            0.5,
-            trials=20,
-            seed=2,
-            target_error=0.0,
-            sweep=(1e-6,),
+            "uniformity", [10**3, 10**4, 10**5, 10**6], 0.5, trials=20, seed=2, target_error=0.0
         )
 
 

@@ -204,6 +204,16 @@ def test_uniformity_paper_mode_unrunnable_raises():
         uniformity_test(o, UniformityParams(epsilon=0.5, mode="paper"), rng)
 
 
+def _charged(ledger):
+    return ledger.classical_samples, ledger.quantum_applications
+
+
+def _round_charges(rounds, m, k):
+    """Every uniformity round draws M samples; only a collision-free one
+    goes on to make K quantum applications."""
+    return m * len(rounds), k * sum(not r.collision for r in rounds)
+
+
 def test_uniformity_paper_mode_runnable_at_large_eps():
     # alpha = 256/eps^4 = 1 at eps = 4: the verbatim repetition wrapper is
     # actually runnable; check structure and accounting (the 2/3 rates are
@@ -218,9 +228,7 @@ def test_uniformity_paper_mode_runnable_at_large_eps():
     verdict = uniformity_test(o, params, rng)
     assert verdict.decision in ("accept", "reject")
     assert len(verdict.rounds) <= l
-    ledger = verdict.ledgers["p"]
-    assert ledger.classical_samples == sum(r.classical_queries for r in verdict.rounds)
-    assert ledger.quantum_applications == sum(r.quantum_queries for r in verdict.rounds)
+    assert _charged(verdict.ledgers["p"]) == _round_charges(verdict.rounds, m, k)
 
 
 def test_utest_rejects_point_mass_by_collision():
@@ -228,10 +236,12 @@ def test_utest_rejects_point_mass_by_collision():
     counts = np.zeros(16, dtype=np.int64)
     counts[3] = 1
     o = make_oracle(Distribution(counts, 1), 4, rng)
-    rec = utest(o, UniformityParams(epsilon=0.5, mode="practical"), rng)
+    params = UniformityParams(epsilon=0.5, mode="practical")
+    ledger = QueryLedger()
+    rec = utest(o, params, rng, ledger)
     assert rec.decision == "reject"
     assert rec.collision is True
-    assert rec.quantum_queries == 0
+    assert _charged(ledger) == (params.resolved(o.n)[0], 0)
 
 
 def test_utest_collision_flag_is_a_repeated_draw():
@@ -256,11 +266,11 @@ def test_utest_accepts_uniform_and_counts_queries():
     ledger = QueryLedger()
     accepts = 0
     for _ in range(30):
+        before = _charged(ledger)
         rec = utest(o, params, rng, ledger)
         accepts += rec.decision == "accept"
-        if not rec.collision:
-            assert rec.quantum_queries == k
-        assert rec.classical_queries == m
+        after = _charged(ledger)
+        assert (after[0] - before[0], after[1] - before[1]) == _round_charges([rec], m, k)
     assert accepts >= 25
     assert ledger.classical_samples == 30 * m
 
@@ -294,13 +304,12 @@ def test_uniformity_wrapper_or_semantics_and_ledger():
     rng = np.random.default_rng(11)
     n = 10**4
     params = UniformityParams(epsilon=0.5, mode="practical", l_repeats=3)
+    m, k, _, _ = params.resolved(n)
     o = make_oracle(uniform(n), n, rng)
     verdict = uniformity_test(o, params, rng)
     assert verdict.decision in ("accept", "reject")
     assert len(verdict.rounds) <= 3
-    ledger = verdict.ledgers["p"]
-    assert ledger.classical_samples == sum(r.classical_queries for r in verdict.rounds)
-    assert ledger.quantum_applications == sum(r.quantum_queries for r in verdict.rounds)
+    assert _charged(verdict.ledgers["p"]) == _round_charges(verdict.rounds, m, k)
 
 
 def test_collision_count_expectation():
