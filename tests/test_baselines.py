@@ -166,6 +166,69 @@ def test_plugin_equals_a_dense_recount_of_its_draws():
             assert est == int(np.abs(hp - hq).sum()) / (2 * m)
 
 
+def _atoms(n, a, b, c):
+    """Counts ``a`` and ``b`` on elements 0 and 1, ``c`` on element n - 1 and
+    1 on every other element: heavy atoms repeat within and across sample
+    lists whatever n, and the blocks keep an oracle at n = 2**31 + 1 cheap."""
+    return Distribution.from_blocks([0, 1, 2, n - 1], [a, b, 1, c], n, a + b + n - 3 + c)
+
+
+def _unique_recount(sp, sq):
+    """Plug-in estimate from ``np.unique`` over both lists and two bincounts."""
+    seen, idx = np.unique(np.concatenate((sp, sq)), return_inverse=True)
+    m = sp.size
+    diff = np.bincount(idx[:m], minlength=seen.size) - np.bincount(idx[m:], minlength=seen.size)
+    return int(np.abs(diff).sum()) / (2 * m)
+
+
+@pytest.mark.parametrize("n, key_type, budgets", [
+    (100, np.uint8, (1, 6, 7, 50)),
+    (20_000, np.uint16, (1, 300, 1249, 1250)),
+    (10**6, np.uint32, (3, 62_499, 62_500)),
+    # 16 * m >= n would need n-length histograms: only the sparse side here
+    (2**31 + 1, np.uint64, (1, 1000, 50_000)),
+])
+def test_plugin_equals_a_unique_recount_of_its_draws(n, key_type, budgets):
+    # The sparse path sorts the keys 2 * v + side in the narrowest type that
+    # holds 2n - 1; each n here takes another type, and m = n // 16 + 1 is the
+    # first dense budget.
+    assert np.min_scalar_type(2 * n - 1) == key_type
+    p, q = _atoms(n, n, n // 2, 0), _atoms(n, n // 2, 0, n)
+    op, oq = make_oracle(p, p.denominator), make_oracle(q, q.denominator)
+    for m in budgets:
+        for seed in range(3):
+            est = classical_statdiff_plugin(op, oq, m, np.random.default_rng(seed))
+            same = np.random.default_rng(seed)
+            sp, sq = classical_samples(op, m, same), classical_samples(oq, m, same)
+            assert est == _unique_recount(sp, sq)
+
+
+@pytest.mark.parametrize("n", [200, 2**32 + 1])
+def test_collision_testers_decide_as_the_int64_reference(n):
+    # The draws fit in uint8 at n = 200 and need uint64 at n = 2**32 + 1: a
+    # tester that sorts a narrower copy of its draws must still decide as the
+    # collision count or the intersection of the int64 draws.
+    eps = 0.5
+    heavy = _atoms(n, n // 4, n // 8, n // 8)
+    oracles = [make_oracle(uniform(n), n), make_oracle(heavy, heavy.denominator)]
+    decisions = {"uniformity": set(), "orthogonality": set()}
+    for m in (2, 3, 8, 30):
+        for seed in range(10):
+            for o in oracles:
+                got = classical_uniformity_test(o, m, eps, np.random.default_rng(seed))
+                s = classical_samples(o, m, np.random.default_rng(seed))
+                pairs = sum(k * (k - 1) // 2 for k in np.unique(s, return_counts=True)[1].tolist())
+                assert got == ("reject" if pairs / (m * (m - 1) / 2) > (1 + eps**2 / 2) / n else "accept")
+                decisions["uniformity"].add(got)
+                for oq in oracles:
+                    got = classical_orthogonality_test(o, oq, m, np.random.default_rng(seed))
+                    same = np.random.default_rng(seed)
+                    sp, sq = classical_samples(o, m, same), classical_samples(oq, m, same)
+                    assert got == ("reject" if np.intersect1d(sp, sq).size else "accept")
+                    decisions["orthogonality"].add(got)
+    assert all(d == {"accept", "reject"} for d in decisions.values())
+
+
 def test_plugin_spurious_at_small_budgets():
     # far below sqrt(n) samples, identical uniforms look maximally far apart
     rng = np.random.default_rng(10)
