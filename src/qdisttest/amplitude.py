@@ -12,7 +12,8 @@ per draw that does not grow with m: an inverse CDF over a few offsets
 around the branch's grid position, then rejection from a Jordan-inequality
 envelope for the tails.  :func:`est_probs` draws the singleton estimates of
 many elements under several oracles in one call, through the same sampler and
-in the same order as the matching sequence of :func:`est_prob` calls.
+in the same order as the matching sequence of :func:`est_prob` calls; it
+computes each distinct mass's branch (grid position and window) once per call.
 :func:`ae_outcome_pmf` materializes the whole law in O(m) time and memory; it
 is the reference the sampler is tested against.
 
@@ -214,38 +215,40 @@ def _target_mass(o: OracleTable, target) -> float:
     return int(counts.sum()) / dist.denominator
 
 
-def _sample_outcome(a: float, m: int, rng: np.random.Generator) -> int:
-    """One exact draw from ``ae_outcome_pmf(a, m)`` in time independent of m.
+def _branch(a: float, m: int) -> tuple[int, tuple | None]:
+    """Grid position ``base`` and window of the ``+phi`` branch of ``ae_outcome_pmf(a, m)``.
 
     The law is an even mixture of two branches, and the branch at ``-phi`` is
     the mirror image ``y -> -y mod m`` of the branch at ``+phi``.  On the
     ``+phi`` branch, with ``c = phi*m = base + f``, outcome ``base + k``
     has probability ``sin^2(pi f) / (m sin(pi (k - f) / m))^2`` for the m
-    offsets ``k`` with ``-m/2 < k - f <= m/2``.
+    offsets ``k`` with ``-m/2 < k - f <= m/2``, ``lo`` to ``hi``.  The
+    window is ``(f, lo, hi, sin(pi f) / m, pi / m)``, or None when the branch
+    is aligned with the grid: then it is a point mass at ``base``.
     """
-    u = rng.random()
-    # One uniform both picks the branch and, rescaled, drives the inverse CDF.
-    sign, u = (1, 2.0 * u) if u < 0.5 else (-1, 2.0 * u - 1.0)
     c = math.asin(math.sqrt(a)) / math.pi * m
     base = math.floor(c)
     f = c - base
-    # A branch aligned with the grid is a point mass at its grid position.
-    aligned = min(f, 1.0 - f) < ALIGNMENT_TOL
-    k = round(f) if aligned else _offset(f, m, u, rng)
-    return sign * (base + k) % m
+    if min(f, 1.0 - f) < ALIGNMENT_TOL:
+        return base + round(f), None
+    lo, hi = math.floor(f - m / 2) + 1, math.floor(f + m / 2)
+    return base, (f, lo, hi, math.sin(math.pi * f) / m, math.pi / m)
 
 
-def _offset(f: float, m: int, u: float, rng: np.random.Generator) -> int:
-    """Offset ``k`` of one branch, for ``0 < f < 1``, given a uniform ``u``."""
-    lo = math.floor(f - m / 2) + 1
-    hi = math.floor(f + m / 2)
-    scale = math.sin(math.pi * f) / m
-    w = math.pi / m
+def _draw(branch: tuple[int, tuple | None], m: int, rng: np.random.Generator) -> int:
+    """One exact draw from the outcome law of a :func:`_branch`, in time independent of m."""
+    u = rng.random()
+    # One uniform both picks the eigenphase sign and, rescaled, drives the inverse CDF.
+    sign, u = (1, 2.0 * u) if u < 0.5 else (-1, 2.0 * u - 1.0)
+    base, window = branch
+    if window is None:
+        return sign * base % m
+    f, lo, hi, scale, w = window
     for k in _BLOCK:
         if lo <= k <= hi:
             p = (scale / math.sin(w * (k - f))) ** 2
             if u < p:
-                return k
+                return sign * (base + k) % m
             u -= p
     # Tails.  Within the window |x| = |k - f| <= m/2, Jordan's inequality
     # sin(t) >= 2t/pi bounds each probability by sin^2(pi f) / (4 x^2), which
@@ -254,8 +257,8 @@ def _offset(f: float, m: int, u: float, rng: np.random.Generator) -> int:
     # its cell, and accept with the ratio of probability to envelope.
     right = 1.0 / (_RIGHT - 1 - f) - 1.0 / (hi - f) if hi >= _RIGHT else 0.0
     left = 1.0 / (f - _LEFT - 1) - 1.0 / (f - lo) if lo <= _LEFT else 0.0
-    if right + left == 0.0:
-        return min(max(k, lo), hi)  # u passed the float sum of a whole window
+    if right + left == 0.0:  # u passed the float sum of a whole window
+        return sign * (base + min(max(k, lo), hi)) % m
     while True:
         v = rng.random() * (right + left)
         if v < right:
@@ -264,7 +267,7 @@ def _offset(f: float, m: int, u: float, rng: np.random.Generator) -> int:
             k = math.floor(f - 1.0 / (1.0 / (f - _LEFT - 1) - (v - right)))
         x = abs(k - f)
         if lo <= k <= hi and rng.random() * (m * math.sin(w * x)) ** 2 <= 4.0 * x * (x - 1.0):
-            return k
+            return sign * (base + k) % m
 
 
 def est_prob(
@@ -285,7 +288,7 @@ def est_prob(
     if m < 1:
         raise ValueError("m must be a positive integer")
     a = _target_mass(o, target)
-    y = _sample_outcome(a, m, rng)
+    y = _draw(_branch(a, m), m, rng)
     if ledger is not None:
         ledger.add_quantum(m)
     return ProbEstimate(
@@ -309,8 +312,9 @@ def est_probs(
     ``(len(elements), len(oracles))``.  Draws element-major (element 0 under
     each oracle in turn, then element 1, ...), so the outcomes, the estimates
     and the generator's final state are those of the matching sequence of
-    ``est_prob(oracle, (element,), m, rng, ledger)`` calls.  Charges
-    ``m * len(elements)`` quantum applications to each oracle's ledger.
+    ``est_prob(oracle, (element,), m, rng, ledger)`` calls.  Each distinct
+    mass's branch is computed once per call and reused by all of its draws.
+    Charges ``m * len(elements)`` quantum applications to each oracle's ledger.
     The outcomes are int64, so ``m`` must lie below ``2**63``.
     """
     m = int(m)
@@ -326,11 +330,15 @@ def est_probs(
     for o in oracles:
         dist = o.distribution()
         masses.append([c / dist.denominator for c in dist.counts_at(idx).tolist()])
+    branches = {}
     outcomes = []
     estimates = []
     for element_masses in zip(*masses):
         for a in element_masses:
-            y = _sample_outcome(a, m, rng)
+            branch = branches.get(a)
+            if branch is None:
+                branch = branches[a] = _branch(a, m)
+            y = _draw(branch, m, rng)
             outcomes.append(y)
             estimates.append(math.sin(math.pi * y / m) ** 2)
     for ledger in ledgers or ():

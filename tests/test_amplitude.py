@@ -204,18 +204,37 @@ def test_est_prob_draws_follow_the_outcome_law():
             assert p >= 1e-6, (a, m, p)
 
 
+class _PastTheBlock:
+    """Stands in for the generator of one ``_draw``: its first uniform, just
+    below 1/2, picks the ``+phi`` branch and rescales to 1 - 2**-53, past the
+    central offsets' mass; later uniforms come from ``rng``."""
+
+    def __init__(self, rng):
+        self.rng, self.first = rng, True
+
+    def random(self):
+        if self.first:
+            self.first = False
+            return 0.5 - 2**-54
+        return self.rng.random()
+
+
 def test_outcome_tails_follow_the_outcome_law():
-    # A uniform beyond the central offsets' mass sends _offset to the tails
+    # A uniform beyond the central offsets' mass sends _draw to the tails
     # alone, so 4*10^4 draws there resolve envelope errors of a few percent,
     # which whole-law draws (a twentieth of them in the tails) would miss.
-    from qdisttest.amplitude import _offset
+    from qdisttest.amplitude import _draw
 
     for i, (f, m) in enumerate(((0.5, 11), (0.3, 9), (0.9, 16), (0.5, 997), (0.01, 200000))):
         rng = np.random.default_rng([43, i])
         offsets = np.arange(math.floor(f - m / 2) + 1, math.floor(f + m / 2) + 1)
         law = (math.sin(math.pi * f) / (m * np.sin(np.pi * (offsets - f) / m))) ** 2
         law[(offsets > -4) & (offsets < 5)] = 0.0
-        ks = np.array([_offset(f, m, 1.0, rng) for _ in range(4 * 10**4)])
+        # At grid position -lo the outcome of offset k is k - lo.
+        window = (f, int(offsets[0]), int(offsets[-1]), math.sin(math.pi * f) / m, math.pi / m)
+        branch = (-int(offsets[0]), window)
+        ys = np.array([_draw(branch, m, _PastTheBlock(rng)) for _ in range(4 * 10**4)])
+        ks = ys + offsets[0]
         assert ks.min() >= offsets[0] and ks.max() <= offsets[-1]
         p = _chi_square_pvalue(ks - offsets[0], law / law.sum())
         assert p >= 1e-6, (f, m, p)
@@ -248,19 +267,25 @@ def test_est_prob_at_m_beyond_any_materializable_law():
 
 def test_est_probs_matches_est_prob_draw_for_draw():
     # Masses 0.013, 1/2, 0, 0.487 under op and 0, 0, 1, 0 under oq: aligned
-    # at m = 4 (0, 1/2 and 1), generic, zero and repeated elements.
+    # at m = 4 (0, 1/2 and 1), generic, zero and repeated elements.  At m = 3
+    # and 5 the window is narrower than the central offsets, so a uniform past
+    # their float sum takes the fallback, not the tails; at m = 9 the tails
+    # hold one offset.  The last two batches draw 2,000 times from the masses
+    # 0.013 and 0.487, so tail rejections recur on a branch built once.
     op = make_oracle(Distribution(np.array([13, 500, 0, 487]), 1000), 1000, seed=0)
     oq = make_oracle(Distribution(np.array([0, 0, 1000, 0]), 1000), 1000, seed=1)
     elements = np.array([0, 1, 2, 3, 1, 1, 2, 0])
-    for m in (1, 2, 4, 997, 200000, 2**33):
+    cases = [((op, oq), elements, m) for m in (1, 2, 3, 4, 5, 9, 997, 200000, 2**33)]
+    cases += [((op,), np.tile([0, 3], 1000), m) for m in (997, 200000)]
+    for oracles, elements, m in cases:
         batch_rng, single_rng = np.random.default_rng(44), np.random.default_rng(44)
-        ledgers = (QueryLedger(), QueryLedger())
-        outcomes, estimates = est_probs((op, oq), elements, m, batch_rng, ledgers)
-        singles = [[est_prob(o, (e,), m, single_rng) for o in (op, oq)] for e in elements.tolist()]
+        ledgers = tuple(QueryLedger() for _ in oracles)
+        outcomes, estimates = est_probs(oracles, elements, m, batch_rng, ledgers)
+        singles = [[est_prob(o, (e,), m, single_rng) for o in oracles] for e in elements.tolist()]
         assert outcomes.tolist() == [[pe.raw_outcome for pe in row] for row in singles], m
         assert estimates.tolist() == [[pe.estimate for pe in row] for row in singles], m
         assert batch_rng.bit_generator.state == single_rng.bit_generator.state, m
-        assert [l.quantum_applications for l in ledgers] == [m * elements.size] * 2
+        assert [l.quantum_applications for l in ledgers] == [m * elements.size] * len(oracles)
 
 
 def test_est_probs_rejects_elements_outside_the_domain_and_mismatched_oracles():
