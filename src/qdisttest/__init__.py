@@ -22,7 +22,6 @@ from .baselines import (
     classical_orthogonality_test,
     classical_statdiff_plugin,
     classical_uniformity_test,
-    collision_pair_count,
 )
 from .distributions import (
     Distribution,

@@ -49,7 +49,6 @@ __all__ = [
     "queries_for",
     "check_accuracy",
     "calibrate_constant",
-    "save_calibration",
     "DEFAULT_C",
 ]
 
@@ -71,10 +70,8 @@ _RIGHT, _LEFT = 5, -4
 
 # Calibrated estimation constant.  Produced by calibrate_constant() on the
 # 3x3x3 CALIBRATION_GRID with 4000 trials per cell and seed 20240801;
-# re-derivable via the `calibrate` CLI subcommand.
+# re-derivable with `qdisttest calibrate --trials 4000 --seed 20240801`.
 DEFAULT_C = 1.681792830507429
-DEFAULT_CALIBRATION_SEED = 20240801
-DEFAULT_CALIBRATION_TRIALS = 4000
 # Confidence of the binomial lower bound each calibration cell must clear.
 CALIBRATION_CONFIDENCE = 0.99
 # The (mass, delta, omega) cells calibration covers, one per regime of the
@@ -205,6 +202,11 @@ def _target_mass(o: OracleTable, target) -> float:
     dist = o.distribution()
     if not isinstance(target, np.ndarray):
         target = list(target)
+    if len(target) == 1:  # one element: its count, without the sort
+        i = int(target[0])
+        if not 0 <= i < o.n:
+            raise ValueError("target elements must lie in [0, n)")
+        return int(dist.counts_at(i)) / dist.denominator
     idx = np.sort(np.asarray(target, dtype=np.int64))
     if idx.size == 0:
         return 0.0
@@ -365,7 +367,7 @@ def _binomial_lcb(successes: int, trials: int) -> float:
     return float(beta.ppf(1.0 - CALIBRATION_CONFIDENCE, successes, trials - successes + 1))
 
 
-def calibrate_constant(trials_per_cell: int = 2000, rng: np.random.Generator | None = None) -> float:
+def calibrate_constant(trials_per_cell: int, rng: np.random.Generator) -> float:
     """Smallest constant in ``CALIBRATION_SWEEP`` meeting the coverage contract.
 
     For each candidate ``c`` and each ``CALIBRATION_GRID`` cell
@@ -380,8 +382,6 @@ def calibrate_constant(trials_per_cell: int = 2000, rng: np.random.Generator | N
     RuntimeError
         If no sweep value satisfies every cell.
     """
-    if rng is None:
-        rng = np.random.default_rng(DEFAULT_CALIBRATION_SEED)
     for c in CALIBRATION_SWEEP:
         for a, delta, omega in CALIBRATION_GRID:
             coverage = min(1.0, coverage_probability(a, delta, queries_for(delta, omega, a, c)))
@@ -392,8 +392,3 @@ def calibrate_constant(trials_per_cell: int = 2000, rng: np.random.Generator | N
             return float(c)
     raise RuntimeError("calibration sweep exhausted without meeting coverage")
 
-
-def save_calibration(path, c: float, grid_label: str, seed: int) -> None:
-    """Persist a calibration result as plain-text key=value lines."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"c={c!r}\ngrid={grid_label}\nseed={seed}\n")

@@ -14,22 +14,10 @@ import numpy as np
 from .distributions import OracleTable, QueryLedger, classical_samples
 
 __all__ = [
-    "collision_pair_count",
     "classical_uniformity_test",
     "classical_statdiff_plugin",
     "classical_orthogonality_test",
 ]
-
-
-def collision_pair_count(samples) -> int:
-    """Number of colliding pairs in a sample list: sum over values of C(k, 2).
-
-    Counts a sorted copy, so the input is left as it is.  The testers sort
-    their own fresh draws in place instead: each copy of a batch is pages
-    the allocator may hand back to the system and fault in again on the
-    next call.
-    """
-    return _sorted_collision_pairs(np.sort(np.asarray(samples), axis=None))
 
 
 def _sorted_collision_pairs(s: np.ndarray) -> int:

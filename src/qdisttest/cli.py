@@ -115,7 +115,7 @@ def _pair_instance(args):
 # ---------------------------------------------------------------------------
 # experiments: each returns its output and a stderr summary (or None).  The
 # output is a (columns, rows, meta) table, written as CSV with the seed added
-# to meta; a finished text; or None when the experiment wrote its own file.
+# to meta, or a finished text.
 
 
 def _estprob(args):
@@ -255,11 +255,10 @@ def _scaling(args):
 
 def _calibrate(args):
     rng = np.random.default_rng(args.seed)
-    c = amplitude.calibrate_constant(trials_per_cell=args.trials, rng=rng)
+    c = amplitude.calibrate_constant(args.trials, rng)
     grid = "default-3x3x3"
-    if args.out:
-        amplitude.save_calibration(args.out, c, grid, args.seed)
-        return None, f"c={c!r}"
+    if args.out:  # a file gets the plain-text record
+        return f"c={c!r}\ngrid={grid}\nseed={args.seed}\n", f"c={c!r}"
     row = {"c": c, "grid": grid, "trials_per_cell": args.trials, "seed": args.seed}
     return harness.render_csv("calibrate", list(row), [row], {}), f"c={c!r}"
 
@@ -403,12 +402,11 @@ def run(args) -> int:
     if isinstance(output, tuple):
         columns, rows, meta = output
         output = harness.render_csv(args.command, columns, rows, {**meta, "seed": args.seed})
-    if output is not None:
-        if args.out:
-            with open(args.out, "w", newline="\n") as fh:
-                fh.write(output)
-        else:
-            sys.stdout.write(output)
+    if args.out:
+        with open(args.out, "w", newline="\n") as fh:
+            fh.write(output)
+    else:
+        sys.stdout.write(output)
     if note is not None:
         print(note, file=sys.stderr)
     return 0

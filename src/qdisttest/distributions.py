@@ -174,13 +174,12 @@ class Distribution:
         copies of each ``i`` in turn: ``np.repeat(arange(n), counts)[pos]``
         for positions in ``[0, denominator)``, without building the table.
 
-        Positions are random draws, so a block lookup by ``searchsorted``
-        mispredicts a branch per key and returns an int64 index.  Instead a
-        branchless binary search over the block bounds (padded to a power of
-        two) keeps its index in the narrowest unsigned type, and the result is
-        computed in place in the int64 array returned.  Fewer batch-sized
-        temporaries mean fewer freed pages for the allocator to hand back to
-        the system and fault in again on the next batch."""
+        No workload has more than two positive-count blocks.  With two, one
+        comparison with the first block's end gives each position's block
+        index as a bool, and the result is computed in place in the int64
+        array returned: fewer batch-sized temporaries mean fewer freed pages
+        for the allocator to hand back to the system and fault in again on
+        the next batch.  More blocks are found by ``searchsorted``."""
         if self._index is None:
             self._index = self._table_index()
         bounds, shifts, levels = self._index
@@ -189,20 +188,10 @@ class Distribution:
                 return pos + shifts if shifts else pos
             return (pos + shifts) // levels
         pos = np.asarray(pos)
-        # One bit of the block index j per step, highest first; the first
-        # probe, bounds[half - 1], is the same for every position.
-        half = (bounds.size + 1) // 2
-        j = np.greater_equal(pos, bounds[half - 1])  # as an index, False is 0 and True 1
-        if half > 1:  # more than two blocks: probe the bounds in scratch arrays
-            j = j.astype(np.min_scalar_type(bounds.size))
-            probe, probed = np.empty_like(j), np.empty(pos.shape, np.int64)
-            while half := half // 2:  # j = 2j + (bounds[(2j + 1) * half - 1] <= pos)
-                np.multiply(j, 2 * half, out=probe)
-                probe += half - 1
-                np.take(bounds, probe, out=probed, mode="clip")  # in range: no checked copy
-                np.less_equal(probed, pos, out=probe)
-                j += j
-                j += probe
+        if bounds.size == 1:  # two blocks: as an index, False is 0 and True 1
+            j = np.greater_equal(pos, bounds[0])
+        else:
+            j = bounds.searchsorted(pos, "right")
         out = shifts.take(j)
         out += pos
         out //= levels.take(j)
@@ -212,7 +201,8 @@ class Distribution:
         """``(bounds, shifts, levels)`` of the positive-count blocks: position
         ``pos`` lies in the block ``j`` with ``bounds[j - 1] <= pos < bounds[j]``
         and holds element ``(pos + shifts[j]) // levels[j]``.  ``bounds`` is
-        padded with int64's maximum to one less than a power of two."""
+        the table position after each block but the last, or None for one
+        block, whose shift and level are then Python ints."""
         live = self.levels > 0
         levels, first, sizes = self.levels[live], self.starts[live], self.sizes()[live]
         if np.any(first + sizes > (2**63 - 1) // levels):
@@ -221,9 +211,7 @@ class Distribution:
         shifts = first * levels - (ends - levels * sizes)
         if levels.size == 1:
             return None, int(shifts[0]), int(levels[0])
-        bounds = np.full((1 << (levels.size - 1).bit_length()) - 1, 2**63 - 1, np.int64)
-        bounds[: levels.size - 1] = ends[:-1]
-        return bounds, shifts, levels
+        return ends[:-1], shifts, levels
 
     def _lowest_terms(self) -> tuple[int, np.ndarray]:
         g = math.gcd(int(np.gcd.reduce(self.levels)), self.denominator)

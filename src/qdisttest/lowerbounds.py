@@ -146,11 +146,6 @@ class Fingerprint:
 
     counts: tuple[tuple[int, int], ...]
 
-    @property
-    def total(self) -> int:
-        """Length of the underlying sample list: sum of r * c_r."""
-        return sum(r * c for r, c in self.counts)
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.counts)
 

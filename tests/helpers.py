@@ -9,3 +9,9 @@ def random_distribution(rng: np.random.Generator, n: int, max_count: int = 8):
     if counts.sum() == 0:
         counts[int(rng.integers(n))] = 1
     return counts, int(counts.sum())
+
+
+def collision_pairs(samples) -> int:
+    """Colliding pairs in a sample list, sum over values of C(k, 2), by ``np.unique``."""
+    _, k = np.unique(samples, return_counts=True)
+    return int((k * (k - 1) // 2).sum())

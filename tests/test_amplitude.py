@@ -15,9 +15,9 @@ from qdisttest.amplitude import (
     est_prob,
     est_probs,
     queries_for,
-    save_calibration,
     unitary_reference_pmf,
 )
+from qdisttest.cli import main as run_cli
 from qdisttest.distributions import (
     Distribution,
     OracleTable,
@@ -165,9 +165,29 @@ def test_est_prob_duplicate_target_elements_count_once():
 def test_est_prob_rejects_targets_outside_the_domain():
     o = make_oracle(uniform(4), 4, seed=0)
     rng = np.random.default_rng(6)
-    for target in ((4,), (-1,), (0, 4), np.array([-1, 2])):
+    # One element, whatever its container, is looked up without the sort.
+    singles = [np.array([4]), np.array([-1]), [2**40], (np.int64(-(2**40)),)]
+    for target in ((4,), (-1,), (0, 4), np.array([-1, 2]), *singles):
         with pytest.raises(ValueError, match="lie in"):
             est_prob(o, target, 8, rng)
+
+
+def test_est_prob_of_one_element_draws_as_the_element_twice():
+    # (i,) takes the one-element lookup and (i, i) the general path; both
+    # must give the same mass, so the same draws and the same stream.
+    p, q = overlapping_pair(40, 0.5)
+    oracles = [
+        make_oracle(p, p.denominator),
+        make_oracle(q, 3 * q.denominator),
+        OracleTable([0, 2, 2, 5, 5, 5, 6], 7),
+    ]
+    for o in oracles:
+        for m in (5, 64, 997):
+            once, twice, array = (np.random.default_rng(45) for _ in range(3))
+            for i in range(o.n):
+                pe = est_prob(o, (i,), m, once)
+                assert pe == est_prob(o, (i, i), m, twice) == est_prob(o, np.array([i]), m, array)
+            assert once.bit_generator.state == twice.bit_generator.state == array.bit_generator.state
 
 
 def _chi_square_pvalue(outcomes, pmf) -> float:
@@ -395,8 +415,9 @@ def test_default_constant_meets_exact_coverage():
 
 
 def test_calibration_file_round_trip(tmp_path):
+    # The provenance DEFAULT_C's comment gives: 4000 trials per cell, seed 20240801.
     path = tmp_path / "calibration.txt"
-    save_calibration(path, DEFAULT_C, "default-3x3x3", 123)
+    assert run_cli(["calibrate", "--trials", "4000", "--seed", "20240801", "--out", str(path)]) == 0
     lines = path.read_text().splitlines()
-    assert lines == [f"c={DEFAULT_C!r}", "grid=default-3x3x3", "seed=123"]
+    assert lines == [f"c={DEFAULT_C!r}", "grid=default-3x3x3", "seed=20240801"]
     assert float(lines[0].partition("=")[2]) == DEFAULT_C

@@ -203,8 +203,9 @@ def test_element_at_and_counts_at_match_the_dense_table():
 
 @pytest.mark.parametrize("blocks", [1, 2, 8, 64, 1000])
 def test_element_at_reads_every_block_of_many(blocks):
-    # The block lookup is a binary search padded to a power of two; check
-    # the first and last table slot of every block, around zero-count ones.
+    # Check the first and last table slot of every element, around
+    # zero-count ones, and both sides of every block bound b: slot b - 1
+    # ends a block and slot b starts the next.
     rng = np.random.default_rng(blocks)
     # Steps of 1 to 4 mod 7: adjacent levels differ, so no blocks merge, and
     # about one in seven is zero (never the first).
@@ -215,8 +216,13 @@ def test_element_at_reads_every_block_of_many(blocks):
     table = np.repeat(np.arange(counts.size), counts)
     ends = np.cumsum(counts)[counts > 0]
     edges = np.unique(np.concatenate((ends - counts[counts > 0], ends - 1)))
-    assert np.array_equal(p.element_at(edges), table[edges])
-    assert all(p.element_at(np.int64(i)) == table[i] for i in edges)
+    bounds = np.cumsum(p.levels * p.sizes())
+    bounds = bounds[bounds < p.denominator]
+    for at in (edges, np.concatenate((bounds - 1, bounds))):
+        out = p.element_at(at)
+        assert out.dtype == np.int64 and np.array_equal(out, table[at])
+        assert all(p.element_at(np.int64(i)) == table[i] for i in at)
+        assert all(p.element_at(int(i)) == table[i] for i in at)
     pos = rng.integers(0, p.denominator, size=(3, 200))
     assert np.array_equal(p.element_at(pos), table[pos])
     assert np.array_equal(p.element_at(np.arange(p.denominator)), table)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qdisttest.amplitude import DEFAULT_C
-from qdisttest.baselines import collision_pair_count
 from qdisttest.distributions import (
     Distribution,
     QueryLedger,
@@ -28,6 +27,8 @@ from qdisttest.testers import (
     uniformity_test,
     utest,
 )
+
+from helpers import collision_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +322,7 @@ def test_collision_count_expectation():
     m = 60
     trials = 2000
     counts = [
-        collision_pair_count(o.table[rng.integers(0, o.s, m)]) for _ in range(trials)
+        collision_pairs(o.table[rng.integers(0, o.s, m)]) for _ in range(trials)
     ]
     expected = m * (m - 1) / 2 * inner_product(p, p)
     se = np.std(counts, ddof=1) / math.sqrt(trials)
