@@ -17,7 +17,6 @@ from qdisttest import (
     empirical_fingerprint_tv,
     fingerprint_of,
     half_support,
-    moment,
     sample_poissonized_fingerprint,
     uniform,
     valiant_bound,
@@ -27,20 +26,20 @@ rng = np.random.default_rng(1234)
 
 print("=== fingerprints forget identities, keep collision structure ===")
 for samples in ([3, 1, 4, 1, 5], [9, 2, 6, 5, 3], [1, 1, 1, 2, 2]):
-    print(f"  {samples} -> {fingerprint_of(samples).as_dict()}")
+    print(f"  {samples} -> {dict(fingerprint_of(samples))}")
 
 n = 100
 u, p = uniform(n), half_support(n)
 print(f"\npower sums at n={n} (uniform vs half-support):")
 for k in (2, 3, 4):
-    print(f"  k={k}: {moment(u, k):.2e} vs {moment(p, k):.2e} "
-          f"(ratio {moment(p, k) / moment(u, k):.0f})")
+    su, sp = (float(((d.counts / d.denominator) ** k).sum()) for d in (u, p))
+    print(f"  k={k}: {su:.2e} vs {sp:.2e} (ratio {sp / su:.0f})")
 
 print("\n=== Poissonized fingerprints at a tiny sample budget ===")
 rate = 5 * math.sqrt(n) * 2**-5
 print(f"rate parameter {rate}; a few draws from the half-support instance:")
 for _ in range(5):
-    print(f"  {sample_poissonized_fingerprint(p, rate, rng).as_dict()}")
+    print(f"  {dict(sample_poissonized_fingerprint(p, rate, rng))}")
 
 delta = max(0.05, p.max_weight * rate * 1.01)
 bound = valiant_bound(p, rate, delta)
@@ -52,7 +51,7 @@ print("\n=== the certification arithmetic ===")
 for a in (1, 3, 5):
     r = corollary_report(10**6, a, 1e-4)
     verdict = "CERTIFIED" if r.certified else "not certified"
-    print(f"budget 2^-{a} sqrt(n) = {r.m:8.2f} samples: bound {r.bound:10.6f} "
+    print(f"budget 2^-{a} sqrt(n) = {r.samples:8.2f} samples: bound {r.bound:10.6f} "
           f"vs 1/12 -> {verdict}")
 print("at a=5 the bound 0.082125 sits below 1/12, so no tester at that "
       "budget can distinguish the two instances")

@@ -37,7 +37,6 @@ from .distributions import (
     l1_distance,
     load_oracle,
     make_oracle,
-    moment,
     overlapping_pair,
     save_oracle,
     uniform,
@@ -46,7 +45,6 @@ from .harness import ScalingResult, fit_loglog, run_scaling
 from .lowerbounds import (
     CollisionFunction,
     CorollaryReport,
-    Fingerprint,
     build_collision_oracles,
     corollary_report,
     empirical_fingerprint_tv,

@@ -203,15 +203,15 @@ def _target_mass(o: OracleTable, target) -> float:
     if not isinstance(target, np.ndarray):
         target = list(target)
     if len(target) == 1:  # one element: its count, without the sort
-        i = int(target[0])
-        if not 0 <= i < o.n:
-            raise ValueError("target elements must lie in [0, n)")
+        i = target[0]
+        if not (isinstance(i, (int, np.integer)) and 0 <= i < o.n):
+            raise ValueError("target elements must be integers that lie in [0, n)")
         return int(dist.counts_at(i)) / dist.denominator
-    idx = np.sort(np.asarray(target, dtype=np.int64))
+    idx = np.sort(target)
     if idx.size == 0:
         return 0.0
-    if idx[0] < 0 or idx[-1] >= o.n:
-        raise ValueError("target elements must lie in [0, n)")
+    if idx.dtype.kind not in "iu" or idx[0] < 0 or idx[-1] >= o.n:
+        raise ValueError("target elements must be integers that lie in [0, n)")
     counts = dist.counts_at(idx)
     counts[1:][idx[1:] == idx[:-1]] = 0  # a repeated element counts once
     return int(counts.sum()) / dist.denominator
@@ -325,9 +325,9 @@ def est_probs(
     n = oracles[0].n
     if any(o.n != n for o in oracles):
         raise ValueError("oracles must share a support size")
-    idx = np.asarray(elements, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError("target elements must lie in [0, n)")
+    idx = np.asarray(elements)
+    if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n):
+        raise ValueError("target elements must be integers that lie in [0, n)")
     masses = []
     for o in oracles:
         dist = o.distribution()

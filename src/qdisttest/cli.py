@@ -258,7 +258,7 @@ def _calibrate(args):
     c = amplitude.calibrate_constant(args.trials, rng)
     grid = "default-3x3x3"
     if args.out:  # a file gets the plain-text record
-        return f"c={c!r}\ngrid={grid}\nseed={args.seed}\n", f"c={c!r}"
+        return harness.render_record({"c": c, "grid": grid, "seed": args.seed}), f"c={c!r}"
     row = {"c": c, "grid": grid, "trials_per_cell": args.trials, "seed": args.seed}
     return harness.render_csv("calibrate", list(row), [row], {}), f"c={c!r}"
 
@@ -304,7 +304,8 @@ def _lb_fingerprint(args):
 
 
 def _corollary(args):
-    return lowerbounds.corollary_report(args.n, args.a, args.delta).render(), None
+    report = lowerbounds.corollary_report(args.n, args.a, args.delta)
+    return harness.render_record(asdict(report)), None
 
 
 # ---------------------------------------------------------------------------

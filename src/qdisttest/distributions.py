@@ -39,7 +39,6 @@ __all__ = [
     "classical_samples",
     "l1_distance",
     "inner_product",
-    "moment",
     "uniform",
     "half_support",
     "biased_pair",
@@ -380,19 +379,6 @@ def inner_product(p: Distribution, q: Distribution) -> float:
     else:
         num = sum(x * y * k for k, x, y in zip(sizes.tolist(), a.tolist(), b.tolist()))
     return num / (s1 * s2)
-
-
-def moment(p: Distribution, k: int) -> float:
-    """k-th power sum ``sum p_i^k``.  Minimized by the uniform distribution.
-
-    ``moment(p, 1)`` is exactly 1 because weights sum to one by construction.
-    """
-    k = int(k)
-    if k < 1:
-        raise ValueError("moment order must be >= 1")
-    if k == 1:
-        return 1.0
-    return float((p.sizes() * (p.levels / p.denominator) ** k).sum())
 
 
 def _as_fraction(x, name: str = "epsilon") -> Fraction:

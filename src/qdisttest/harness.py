@@ -29,6 +29,7 @@ __all__ = [
     "CSV_SCHEMA_VERSION",
     "RNG_STREAM",
     "render_csv",
+    "render_record",
     "spawn_rngs",
     "fit_loglog",
     "ScalingRow",
@@ -87,6 +88,11 @@ def render_csv(command: str, columns, rows, meta: dict) -> str:
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in columns))
     return "\n".join(lines) + "\n"
+
+
+def render_record(fields: dict) -> str:
+    """Render a plain-text record: one ``key=value`` line per field, in order."""
+    return "".join(f"{k}={_fmt(v)}\n" for k, v in fields.items())
 
 
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:

@@ -25,7 +25,6 @@ __all__ = [
     "CollisionFunction",
     "build_collision_oracles",
     "matching_parity_distance",
-    "Fingerprint",
     "fingerprint_of",
     "poissonized_occupation",
     "sample_poissonized_fingerprint",
@@ -135,28 +134,16 @@ def matching_parity_distance(h: CollisionFunction, sigma) -> float:
     return (2 * h.n - 4 * different) / h.n
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+def fingerprint_of(samples) -> tuple[tuple[int, int], ...]:
     """Collision-multiplicity profile of a sample list.
 
-    ``counts`` holds pairs ``(r, c_r)``: ``c_r`` elements appeared exactly
+    Pairs ``(r, c_r)`` with ``r`` rising: ``c_r`` elements appeared exactly
     ``r`` times.  The profile forgets element identities, which is all a
     tester of a relabeling-invariant property can use.
     """
-
-    counts: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
-
-
-def fingerprint_of(samples) -> Fingerprint:
-    arr = np.asarray(samples)
-    if arr.size == 0:
-        return Fingerprint(())
-    _, mult = np.unique(arr, return_counts=True)
+    _, mult = np.unique(samples, return_counts=True)
     orders, occur = np.unique(mult, return_counts=True)
-    return Fingerprint(tuple((int(r), int(c)) for r, c in zip(orders, occur)))
+    return tuple(zip(orders.tolist(), occur.tolist()))
 
 
 def _poisson_draws(p: Distribution, m: float, rng: np.random.Generator) -> np.ndarray:
@@ -181,8 +168,8 @@ def poissonized_occupation(
 
 def sample_poissonized_fingerprint(
     p: Distribution, m: float, rng: np.random.Generator
-) -> Fingerprint:
-    """Fingerprint of a Poisson(m)-size i.i.d. sample from p."""
+) -> tuple[tuple[int, int], ...]:
+    """Fingerprint (see :func:`fingerprint_of`) of a Poisson(m)-size i.i.d. sample from p."""
     return fingerprint_of(_poisson_draws(p, m, rng))
 
 
@@ -243,7 +230,7 @@ class CorollaryReport:
     """Arithmetic certificate for classical uniformity untestability.
 
     For the half-support instance (weight 2/n on half the domain) and sample
-    budget ``m = 2^-a * sqrt(n)``, every series term is at most
+    budget ``samples = m = 2^-a * sqrt(n)``, every series term is at most
     ``2^(-2a+1)`` and the term sum is at most 4 of those, so the fingerprint
     distance is at most ``bound = 40*delta + 10*2^(-2a+3)``.  The instance is
     certified when the bound is below 1/12 and the moment-series
@@ -253,26 +240,12 @@ class CorollaryReport:
     n: int
     a: int
     delta: float
-    m: float
+    samples: float
     sup_weight: float
     precondition_ok: bool
     bound: float
     threshold: float
     certified: bool
-
-    def render(self) -> str:
-        lines = [
-            f"n={self.n}",
-            f"a={self.a}",
-            f"delta={self.delta!r}",
-            f"samples={self.m!r}",
-            f"sup_weight={self.sup_weight!r}",
-            f"precondition_ok={int(self.precondition_ok)}",
-            f"bound={self.bound!r}",
-            f"threshold={self.threshold!r}",
-            f"certified={int(self.certified)}",
-        ]
-        return "\n".join(lines) + "\n"
 
 
 def corollary_report(n: int, a: int, delta: float) -> CorollaryReport:
@@ -294,7 +267,7 @@ def corollary_report(n: int, a: int, delta: float) -> CorollaryReport:
         n=n,
         a=a,
         delta=float(delta),
-        m=m,
+        samples=m,
         sup_weight=sup_weight,
         precondition_ok=precondition_ok,
         bound=bound,
@@ -318,12 +291,8 @@ def empirical_fingerprint_tv(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    cp: Counter = Counter()
-    cq: Counter = Counter()
-    for _ in range(trials):
-        cp[sample_poissonized_fingerprint(p, m, rng)] += 1
-    for _ in range(trials):
-        cq[sample_poissonized_fingerprint(q, m, rng)] += 1
+    cp = Counter(sample_poissonized_fingerprint(p, m, rng) for _ in range(trials))
+    cq = Counter(sample_poissonized_fingerprint(q, m, rng) for _ in range(trials))
     support = set(cp) | set(cq)
     if trials < 100 * len(support):
         warnings.warn(

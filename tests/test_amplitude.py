@@ -170,6 +170,10 @@ def test_est_prob_rejects_targets_outside_the_domain():
     for target in ((4,), (-1,), (0, 4), np.array([-1, 2]), *singles):
         with pytest.raises(ValueError, match="lie in"):
             est_prob(o, target, 8, rng)
+    # A float element is rejected on both paths, not truncated to an element.
+    for target in ((1.9,), (0.5, 1.9), np.array([0.5]), np.array([0.5, 1.9])):
+        with pytest.raises(ValueError, match="integers"):
+            est_prob(o, target, 8, rng)
 
 
 def test_est_prob_of_one_element_draws_as_the_element_twice():
@@ -313,6 +317,9 @@ def test_est_probs_rejects_elements_outside_the_domain_and_mismatched_oracles():
     rng = np.random.default_rng(6)
     for elements in ([4], [-1], np.array([0, 4]), np.array([2, -1])):
         with pytest.raises(ValueError, match="lie in"):
+            est_probs((o,), elements, 8, rng)
+    for elements in ([2.7], np.array([0.0, 1.0])):
+        with pytest.raises(ValueError, match="integers"):
             est_probs((o,), elements, 8, rng)
     with pytest.raises(ValueError, match="support size"):
         est_probs((o, make_oracle(uniform(5), 5, seed=0)), [0], 8, rng)

@@ -17,7 +17,6 @@ from qdisttest.distributions import (
     l1_distance,
     load_oracle,
     make_oracle,
-    moment,
     overlapping_pair,
     save_oracle,
     uniform,
@@ -346,7 +345,7 @@ def test_ledger_counts_draws():
 
 
 # ---------------------------------------------------------------------------
-# distances and moments
+# distances and inner products
 
 
 def test_l1_basic_values():
@@ -372,16 +371,6 @@ def test_l1_is_a_metric(data):
     assert l1_distance(p, q) == l1_distance(q, p)
     assert l1_distance(p, q) <= l1_distance(p, r) + l1_distance(r, q) + 1e-12
     assert (l1_distance(p, q) == 0.0) == (p == q)
-
-
-def test_moments_uniform_and_half_support():
-    n = 64
-    for k in range(1, 6):
-        assert moment(uniform(n), k) == pytest.approx(n ** (1 - k), rel=1e-12)
-        assert moment(half_support(n), k) == pytest.approx(
-            2 ** (k - 1) * n ** (1 - k), rel=1e-12
-        )
-    assert moment(uniform(n), 1) == 1.0
 
 
 def test_inner_product_values():
@@ -410,18 +399,6 @@ def test_cauchy_schwarz_distance_bound(data):
     lhs = l1_distance(p, u)
     rhs = np.sqrt(n) * np.sqrt(max(0.0, inner_product(p, p) - 1.0 / n))
     assert lhs <= rhs + 1e-9
-
-
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_moment_minimized_by_uniform(data):
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-    n = data.draw(st.integers(1, 16))
-    k = data.draw(st.integers(2, 5))
-    p = Distribution(*random_distribution(rng, n))
-    assert moment(p, k) >= n ** (1 - k) - 1e-15
-    if p == uniform(n):
-        assert moment(p, k) == pytest.approx(n ** (1 - k), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

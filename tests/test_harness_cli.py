@@ -15,6 +15,7 @@ from qdisttest.harness import (
     make_instance,
     make_instance_pair,
     render_csv,
+    render_record,
     run_scaling,
     spawn_rngs,
 )
@@ -41,6 +42,11 @@ def test_render_csv_layout():
 def test_render_csv_numpy_scalars():
     text = render_csv("demo", ["v"], [{"v": np.float64(0.25)}, {"v": np.int64(3)}], {})
     assert text.splitlines()[2:] == ["0.25", "3"]
+
+
+def test_render_record_layout():
+    text = render_record({"n": 10, "bound": 1 / 3, "ok": True, "no": False, "grid": "g"})
+    assert text == "n=10\nbound=0.3333333333333333\nok=1\nno=0\ngrid=g\n"
 
 
 def test_spawn_rngs_deterministic_and_distinct():

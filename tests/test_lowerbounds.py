@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from qdisttest.cli import main
 from qdisttest.distributions import (
     Distribution,
     biased_pair,
@@ -20,7 +21,6 @@ from qdisttest.lowerbounds import (
     SERIES_TOL,
     TWO_TO_ONE,
     CollisionFunction,
-    Fingerprint,
     build_collision_oracles,
     corollary_report,
     empirical_fingerprint_tv,
@@ -131,15 +131,17 @@ def test_two_to_one_distance_rarely_near_two():
 
 
 def test_fingerprint_of_small_cases():
-    assert fingerprint_of([1, 2, 3]).as_dict() == {1: 3}
-    assert fingerprint_of([1, 1, 2]).as_dict() == {1: 1, 2: 1}
-    assert fingerprint_of([]).as_dict() == {}
+    assert fingerprint_of([1, 2, 3]) == ((1, 3),)
+    assert dict(fingerprint_of([1, 1, 2])) == {1: 1, 2: 1}
+    assert fingerprint_of([5, 5, 5, 4, 4, 9]) == ((1, 1), (2, 1), (3, 1))  # r rising
+    assert fingerprint_of([]) == ()
+    assert all(type(v) is int for pair in fingerprint_of(np.array([3, 3, 1])) for v in pair)
 
 
 @given(st.lists(st.integers(0, 30), max_size=200))
 @settings(max_examples=100, deadline=None)
 def test_fingerprint_conservation(samples):
-    assert sum(r * c for r, c in fingerprint_of(samples).counts) == len(samples)
+    assert sum(r * c for r, c in fingerprint_of(samples)) == len(samples)
 
 
 def test_fingerprints_hashable_and_comparable():
@@ -152,7 +154,7 @@ def test_fingerprints_hashable_and_comparable():
 def test_poissonized_rate_zero_limit():
     rng = np.random.default_rng(10)
     empties = sum(
-        sample_poissonized_fingerprint(uniform(10), 1e-4, rng) == Fingerprint(())
+        sample_poissonized_fingerprint(uniform(10), 1e-4, rng) == ()
         for _ in range(2000)
     )
     assert empties >= 1990
@@ -164,7 +166,7 @@ def test_poissonized_mean_total():
     rng = np.random.default_rng(11)
     m = 12.0
     totals = [
-        sum(r * c for r, c in sample_poissonized_fingerprint(uniform(50), m, rng).counts)
+        sum(r * c for r, c in sample_poissonized_fingerprint(uniform(50), m, rng))
         for _ in range(3000)
     ]
     se = np.std(totals, ddof=1) / math.sqrt(len(totals))
@@ -268,15 +270,16 @@ def test_valiant_bound_monotone_in_a():
     assert all(x >= y for x, y in zip(vals, vals[1:]))
 
 
-def test_corollary_report_certified_case():
+def test_corollary_report_certified_case(capsys):
     r = corollary_report(10**6, 5, 1e-4)
     assert r.precondition_ok
     assert r.bound == 40 * 1e-4 + 10 * 2**-7
     assert r.bound == 0.082125
     assert r.bound < r.threshold
     assert r.certified
-    text = r.render()
-    assert "certified=1" in text and "bound=0.082125" in text
+    assert main(["corollary", "--n", "1000000", "--a", "5", "--delta", "1e-4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "certified=1" in lines and "bound=0.082125" in lines and "samples=31.25" in lines
 
 
 def test_corollary_report_not_certified_cases():
