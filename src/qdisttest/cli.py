@@ -68,7 +68,6 @@ OUTPUT = [
     _flag("--out", default=None, help="output CSV path (default: stdout)"),
     _flag("--spec", default=None, help="key=value file supplying defaults for this command"),
 ]
-ESTIMATE_COLUMNS = ["trial", "estimate", "target", "classical", "quantum"]
 
 
 # ---------------------------------------------------------------------------
@@ -80,24 +79,18 @@ def _trials(args, trial) -> list[dict]:
     return [{"trial": t, **trial()} for t in range(args.trials)]
 
 
-def _charged(ledgers, **row) -> dict:
-    """``row`` with the classical and quantum queries charged to ``ledgers``."""
-    return {
-        **row,
-        "classical": sum(l.classical_samples for l in ledgers),
-        "quantum": sum(l.quantum_applications for l in ledgers),
-    }
+def _outcomes(args, key: str, test, oracles, budget, rng) -> list[dict]:
+    """One row per ``harness.run_trial``: the outcome under ``key``, and the queries."""
+    names = (key, "classical", "quantum")
+    return _trials(args, lambda: dict(zip(names, harness.run_trial(test, oracles, budget, rng))))
 
 
-def _verdict(v) -> dict:
-    return _charged(v.ledgers.values(), decision=v.decision)
-
-
-def _decisions(args, positive: str, trial):
-    """Columns, rows and summary of an accept/reject experiment; each row
-    adds whether the decision was ``positive`` and the cumulative rate."""
+def _decisions(args, positive: str, *trial):
+    """Columns, rows and summary of an accept/reject experiment that runs
+    ``trial`` (test, oracles, budget, rng) through ``_outcomes``; each row adds
+    whether the decision was ``positive`` and the cumulative rate."""
     rate = "acceptance_rate" if positive == "accept" else "rejection_rate"
-    rows = _trials(args, trial)
+    rows = _outcomes(args, "decision", *trial)
     hits = 0
     for t, row in enumerate(rows):
         row[positive] = int(row["decision"] == positive)
@@ -105,6 +98,13 @@ def _decisions(args, positive: str, trial):
         row[rate] = hits / (t + 1)
     columns = ["trial", "decision", positive, rate, "classical", "quantum"]
     return columns, rows, f"{rate}={hits / args.trials!r}"
+
+
+def _estimates(args, distance: float, *trial):
+    """Columns and rows of an estimation experiment; each row adds the
+    target, half of ``distance``."""
+    rows = [{**row, "target": distance / 2} for row in _outcomes(args, "estimate", *trial)]
+    return ["trial", "estimate", "target", "classical", "quantum"], rows
 
 
 def _pair_instance(args):
@@ -148,13 +148,9 @@ def _estdist(args):
     params = testers.StatDiffParams(
         epsilon=args.eps, tau=args.tau, mode=args.mode, n=args.samples, m_inner=args.m_inner
     )
-
-    def trial():
-        res = testers.est_dist(op, oq, params, rng)
-        return _charged(res.ledgers.values(), estimate=res.estimate, target=distance / 2)
-
+    columns, rows = _estimates(args, distance, testers.est_dist, (op, oq), params, rng)
     meta = {"n": args.n, "pair": args.pair, "distance": distance, "mode": args.mode}
-    return (ESTIMATE_COLUMNS, _trials(args, trial), meta), None
+    return (columns, rows, meta), None
 
 
 def _uniformity(args):
@@ -172,7 +168,7 @@ def _uniformity(args):
         l_repeats=args.repeats,
     )
     columns, rows, note = _decisions(
-        args, "accept", lambda: _verdict(testers.uniformity_test(oracle, params, rng))
+        args, "accept", testers.uniformity_test, (oracle,), params, rng
     )
     m, k, l, thr = params.resolved(args.n)
     meta = {
@@ -188,7 +184,7 @@ def _orthogonality(args):
         epsilon=args.eps, m_samples=args.samples, k_queries=args.k, rounds=args.rounds
     )
     columns, rows, note = _decisions(
-        args, "reject", lambda: _verdict(testers.orthogonality_test(op, oq, params, rng))
+        args, "reject", testers.orthogonality_test, (op, oq), params, rng
     )
     meta = {"n": args.n, "pair": args.pair, "eps": args.eps, "distance": distance,
             "rounds": params.rounds}
@@ -200,14 +196,10 @@ def _baseline_uniformity(args):
         raise ValueError("eps must be positive and finite")
     rng = np.random.default_rng(args.seed)
     oracle = harness.make_instance(args.instance, args.n, args.eps)
-    m = args.samples or max(2, math.ceil(4.0 * math.sqrt(args.n) / args.eps**2))
-
-    def trial():
-        ledger = testers.QueryLedger()
-        decision = baselines.classical_uniformity_test(oracle, m, args.eps, rng, ledger)
-        return _charged([ledger], decision=decision)
-
-    columns, rows, note = _decisions(args, "accept", trial)
+    m = args.samples or harness.collision_samples(4.0, args.n, args.eps)
+    columns, rows, note = _decisions(
+        args, "accept", baselines.classical_uniformity_test, (oracle,), (m, args.eps), rng
+    )
     meta = {"n": args.n, "instance": args.instance, "eps": args.eps, "m": m}
     return (columns, rows, meta), note
 
@@ -215,26 +207,19 @@ def _baseline_uniformity(args):
 def _baseline_statdiff(args):
     rng, op, oq, distance = _pair_instance(args)
     m = args.samples or args.n
-
-    def trial():
-        ledgers = testers.QueryLedger(), testers.QueryLedger()
-        est = baselines.classical_statdiff_plugin(op, oq, m, rng, *ledgers)
-        return _charged(ledgers, estimate=est, target=distance / 2)
-
+    columns, rows = _estimates(
+        args, distance, baselines.classical_statdiff_plugin, (op, oq), (m,), rng
+    )
     meta = {"n": args.n, "pair": args.pair, "distance": distance, "m": m}
-    return (ESTIMATE_COLUMNS, _trials(args, trial), meta), None
+    return (columns, rows, meta), None
 
 
 def _baseline_orthogonality(args):
     rng, op, oq, distance = _pair_instance(args)
     m = args.samples or max(1, math.ceil(4.0 * math.sqrt(args.n)))
-
-    def trial():
-        ledgers = testers.QueryLedger(), testers.QueryLedger()
-        decision = baselines.classical_orthogonality_test(op, oq, m, rng, *ledgers)
-        return _charged(ledgers, decision=decision)
-
-    columns, rows, note = _decisions(args, "reject", trial)
+    columns, rows, note = _decisions(
+        args, "reject", baselines.classical_orthogonality_test, (op, oq), (m,), rng
+    )
     meta = {"n": args.n, "pair": args.pair, "distance": distance, "m": m}
     return (columns, rows, meta), note
 

@@ -86,7 +86,7 @@ class Distribution:
     Block ``j`` holds the elements from ``starts[j]`` up to the next start (or
     ``n``), each with count ``levels[j]``; an element's weight is its count
     over ``denominator``.  The blocks are canonical (maximal runs of equal
-    counts), so equality and hashing read only the blocks.  ``counts`` is
+    counts), so equality reads only the blocks.  ``counts`` is
     built on first read.
 
     Parameters
@@ -224,10 +224,6 @@ class Distribution:
         # Proportional count vectors have the same runs and reduce alike.
         (d1, l1), (d2, l2) = self._lowest_terms(), other._lowest_terms()
         return d1 == d2 and np.array_equal(l1, l2)
-
-    def __hash__(self):
-        den, levels = self._lowest_terms()
-        return hash((self.n, den, self.starts.tobytes(), levels.tobytes()))
 
     def __repr__(self) -> str:
         return f"Distribution(n={self.n}, denominator={self.denominator})"

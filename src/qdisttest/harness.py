@@ -35,6 +35,8 @@ __all__ = [
     "ScalingRow",
     "ScalingResult",
     "run_scaling",
+    "run_trial",
+    "collision_samples",
     "INSTANCES",
     "PAIRS",
     "make_instance_pair",
@@ -153,17 +155,40 @@ def make_instance_pair(name: str, n: int, eps) -> tuple[OracleTable, OracleTable
     return make_oracle(p, p.denominator), make_oracle(q, q.denominator), l1_distance(p, q)
 
 
+def collision_samples(constant: float, n: int, eps: float) -> int:
+    """The collision tester's sample count, ``max(2, ceil(constant * sqrt(n) / eps^2))``."""
+    return max(2, math.ceil(constant * math.sqrt(n) / eps**2))
+
+
+def run_trial(test, oracles, budget, rng) -> tuple:
+    """One trial of ``test`` on ``oracles``: ``(outcome, classical, quantum)``.
+
+    A quantum tester takes a params object as ``budget`` and charges the
+    ledgers of its result, a :class:`~qdisttest.testers.TestVerdict`
+    (outcome: the decision) or a distance estimate (the estimate).  A classical
+    baseline takes a tuple, the arguments between its oracles and ``rng``, and
+    is handed one fresh ledger per oracle."""
+    if isinstance(budget, tuple):
+        ledgers = [testers.QueryLedger() for _ in oracles]
+        outcome = test(*oracles, *budget, rng, *ledgers)
+    else:
+        result = test(*oracles, budget, rng)
+        ledgers = result.ledgers.values()
+        outcome = result.decision if isinstance(result, testers.TestVerdict) else result.estimate
+    classical = sum(l.classical_samples for l in ledgers)
+    return outcome, classical, sum(l.quantum_applications for l in ledgers)
+
+
 # ---------------------------------------------------------------------------
-# Scaling study: each tester is its cases at one n, a trial that runs one
-# case once and returns (missed, queries), and the constants swept upward.
+# Scaling study: each tester is its cases at one n, each an oracles tuple and
+# the right outcome (a decision, or half the distance for an estimate), the
+# tester, its budget at (constant, n, eps), and the constants swept upward.
 
 
 def _uniformity_cases(n, eps):
     """The uniform instance, to accept, and the eps-far biased one, to reject."""
-    return [
-        (make_instance("uniform", n, eps), "accept"),
-        (make_instance("biased", n, eps), "reject"),
-    ]
+    cases = (("uniform", "accept"), ("biased", "reject"))
+    return [((make_instance(name, n, eps),), right) for name, right in cases]
 
 
 def _statdiff_cases(n, eps):
@@ -173,35 +198,24 @@ def _statdiff_cases(n, eps):
     return [((op, oq), distance / 2) for op, oq, distance in pairs]
 
 
-def _uniformity(oracle, should, constant, n, eps, rng):
+def _uniformity_params(constant, n, eps):
     # constant * n ** (1 / 3) / ... would round differently from this grouping
     k = math.ceil(constant * (n ** (1 / 3) / eps ** (4 / 3)))
-    params = testers.UniformityParams(epsilon=eps, mode="practical", k_queries=k)
-    verdict = testers.uniformity_test(oracle, params, rng)
-    return verdict.decision != should, verdict.total_queries
+    return testers.UniformityParams(epsilon=eps, k_queries=k)
 
 
-def _uniformity_classical(oracle, should, constant, n, eps, rng):
-    ledger = testers.QueryLedger()
-    m = max(2, math.ceil(constant * math.sqrt(n) / eps**2))
-    decision = baselines.classical_uniformity_test(oracle, m, eps, rng, ledger)
-    return decision != should, ledger.total
-
-
-def _statdiff(oracles, half_distance, constant, n, eps, rng):
-    """Missed = the estimate is off by more than the tolerance."""
-    params = testers.StatDiffParams(
-        mode="practical", n=STATDIFF_SCALING_SAMPLES, m_inner=math.ceil(constant * math.sqrt(n))
-    )
-    result = testers.est_dist(*oracles, params, rng)
-    missed = abs(result.estimate - half_distance) > STATDIFF_SCALING_TOLERANCE
-    return missed, sum(l.total for l in result.ledgers.values())
+def _statdiff_params(constant, n, eps):
+    m_inner = math.ceil(constant * math.sqrt(n))
+    return testers.StatDiffParams(n=STATDIFF_SCALING_SAMPLES, m_inner=m_inner)
 
 
 _SCALING_TESTERS = {
-    "uniformity": (_uniformity_cases, _uniformity, (75.0, 150.0, 300.0, 600.0)),
-    "uniformity-classical": (_uniformity_cases, _uniformity_classical, (4.0, 8.0, 16.0, 32.0)),
-    "statdiff": (_statdiff_cases, _statdiff, (50.0, 100.0, 200.0, 400.0)),
+    "uniformity": (_uniformity_cases, testers.uniformity_test, _uniformity_params,
+                   (75.0, 150.0, 300.0, 600.0)),
+    "uniformity-classical": (_uniformity_cases, baselines.classical_uniformity_test,
+                             lambda c, n, eps: (collision_samples(c, n, eps), eps),
+                             (4.0, 8.0, 16.0, 32.0)),
+    "statdiff": (_statdiff_cases, testers.est_dist, _statdiff_params, (50.0, 100.0, 200.0, 400.0)),
 }
 
 
@@ -218,9 +232,11 @@ def run_scaling(
     For each ``n``, the tester's constant sweep is walked upward and the
     first value whose empirical error (over ``trials`` runs per case) is at
     most ``target_error`` is retained; its mean total ledger queries become
-    the data point.  A point whose calibrated constant sits at the top of the
-    sweep is flagged as saturated, and a saturated smallest-``n`` point is
-    excluded from the fit (asymptotic claims need the asymptotic regime).
+    the data point.  A trial errs when its decision is wrong or its estimate
+    is off by more than ``STATDIFF_SCALING_TOLERANCE``.  A point whose
+    calibrated constant sits at the top of the sweep is flagged as saturated,
+    and a saturated smallest-``n`` point is excluded from the fit (asymptotic
+    claims need the asymptotic regime).
 
     Raises
     ------
@@ -233,7 +249,7 @@ def run_scaling(
         raise ValueError(f"unknown scaling tester {tester!r}")
     if not 0 <= target_error < 1:  # also rejects NaN
         raise ValueError("target error must lie in [0, 1)")
-    cases_at, trial, sweep = _SCALING_TESTERS[tester]
+    cases_at, test, budget_at, sweep = _SCALING_TESTERS[tester]
     n_values = [int(n) for n in n_values]
     smallest = min(n_values)
 
@@ -242,15 +258,17 @@ def run_scaling(
     rngs = spawn_rngs(seed, len(n_values) * len(sweep))
     rows: list[ScalingRow] = []
     for i, n in enumerate(n_values):
+        cases = cases_at(n, epsilon)  # built from (n, eps) alone, drawing nothing
         for j, constant in enumerate(sweep):
             rng = rngs[i * len(sweep) + j]
-            cases = cases_at(n, epsilon)
+            budget = budget_at(constant, n, epsilon)
             missed = queries = 0
-            for case in cases:
+            for oracles, right in cases:
                 for _ in range(trials):
-                    miss, q = trial(*case, constant, n, epsilon, rng)
-                    missed += miss
-                    queries += q
+                    outcome, classical, quantum = run_trial(test, oracles, budget, rng)
+                    missed += (outcome != right if isinstance(right, str)
+                               else abs(outcome - right) > STATDIFF_SCALING_TOLERANCE)
+                    queries += classical + quantum
             runs = len(cases) * trials
             err = missed / runs
             if err <= target_error:

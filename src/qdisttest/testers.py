@@ -88,10 +88,6 @@ class TestVerdict:
     ledgers: dict[str, QueryLedger]
     rounds: list[RoundRecord]
 
-    @property
-    def total_queries(self) -> int:
-        return sum(l.total for l in self.ledgers.values())
-
 
 def _explicit(value, default):
     """An explicitly set parameter, else its default (0 is explicit too)."""

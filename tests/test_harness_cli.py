@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdisttest import harness
+from qdisttest import baselines, harness, testers
 from qdisttest.cli import EXPERIMENTS, main
 from qdisttest.harness import (
     fit_loglog,
@@ -99,9 +99,9 @@ def test_run_scaling_statdiff_slope():
 
 
 def _with_sweep(monkeypatch, tester, sweep):
-    """Run ``tester``'s cases and trial over ``sweep`` instead of its own."""
-    cases, trial, _ = harness._SCALING_TESTERS[tester]
-    monkeypatch.setitem(harness._SCALING_TESTERS, tester, (cases, trial, sweep))
+    """Run ``tester``'s cases, test and budget over ``sweep`` instead of its own."""
+    cases, test, budget_at, _ = harness._SCALING_TESTERS[tester]
+    monkeypatch.setitem(harness._SCALING_TESTERS, tester, (cases, test, budget_at, sweep))
 
 
 def test_run_scaling_excludes_saturated_smallest_point(monkeypatch):
@@ -128,6 +128,45 @@ def test_run_scaling_calibration_failure(monkeypatch):
 def test_run_scaling_unknown_tester():
     with pytest.raises(ValueError):
         run_scaling("nope", [1000, 10**4, 10**5, 10**6], 0.5, trials=5, seed=0)
+
+
+# name -> (tester, instance or pair name, budget): every tester the CLI runs.
+_TRIALS = {
+    "est_dist": (testers.est_dist, "overlapping", testers.StatDiffParams(n=20, m_inner=40)),
+    "uniformity_test": (testers.uniformity_test, "biased", testers.UniformityParams(epsilon=0.5)),
+    "orthogonality_test": (
+        testers.orthogonality_test, "overlapping", testers.OrthogonalityParams(epsilon=0.5)
+    ),
+    "classical_uniformity_test": (baselines.classical_uniformity_test, "biased", (60, 0.5)),
+    "classical_statdiff_plugin": (baselines.classical_statdiff_plugin, "overlapping", (50,)),
+    "classical_orthogonality_test": (
+        baselines.classical_orthogonality_test, "overlapping", (20,)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRIALS))
+def test_run_trial_matches_a_direct_call(name):
+    test, instance, budget = _TRIALS[name]
+    if instance in harness.PAIRS:
+        oracles = make_instance_pair(instance, 1000, 0.5)[:2]
+    else:
+        oracles = (make_instance(instance, 1000, 0.5),)
+    rng, direct = np.random.default_rng(21), np.random.default_rng(21)
+    got = harness.run_trial(test, oracles, budget, rng)
+
+    if isinstance(budget, tuple):
+        ledgers = [testers.QueryLedger() for _ in oracles]
+        outcome = test(*oracles, *budget, direct, *ledgers)
+    else:
+        result = test(*oracles, budget, direct)
+        ledgers = result.ledgers.values()
+        outcome = result.estimate if name == "est_dist" else result.decision
+    classical = sum(l.classical_samples for l in ledgers)
+    quantum = sum(l.quantum_applications for l in ledgers)
+    assert got == (outcome, classical, quantum)
+    assert classical > 0 and (quantum > 0) == (not isinstance(budget, tuple))
+    assert rng.bit_generator.state == direct.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -446,4 +446,4 @@ def test_orthogonality_queries_linear_in_rounds():
         verdict = orthogonality_test(
             op, oq, OrthogonalityParams(epsilon=0.5, rounds=rounds), rng
         )
-        assert verdict.total_queries == rounds * (m + k)
+        assert sum(l.total for l in verdict.ledgers.values()) == rounds * (m + k)

@@ -1,0 +1,129 @@
+"""Reachability census of ``src/qdisttest`` under the program's own callers.
+
+Runs every golden CLI case (through ``tests/test_cli_golden.run_case``) and
+every demo in ``demos/``, in this process, under ``sys.settrace``.  Then it
+prints, per module, the executable lines (from the compiled line tables) and
+the ones no caller reached, and last the functions and classes named in a
+module's ``__all__`` that no caller reached: a function whose code never
+ran, a class none of whose methods ran and that was never built.  Constants
+and re-exported names are not traced.  The census reports and never fails.
+
+    python tools/census.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib
+import io
+import os
+import runpy
+import sys
+import tempfile
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qdisttest"
+PREFIX = str(PACKAGE) + os.sep
+
+reached: dict[str, set[int]] = {}  # file -> lines that ran
+entered: set[types.CodeType] = set()  # code objects of the package that ran
+built: set[type] = set()  # classes whose generated (dataclass) __init__ ran
+
+
+def _lines(frame, event, arg):
+    if event == "line":
+        reached[frame.f_code.co_filename].add(frame.f_lineno)
+    return _lines
+
+
+def _calls(frame, event, arg):
+    code = frame.f_code
+    if code.co_filename.startswith(PREFIX):
+        entered.add(code)
+        reached.setdefault(code.co_filename, set()).add(frame.f_lineno)
+        return _lines
+    if code.co_name == "__init__" and code.co_filename == "<string>" and "self" in frame.f_locals:
+        built.add(type(frame.f_locals["self"]))
+    return None
+
+
+def executable_lines(code: types.CodeType) -> set[int]:
+    """Every line in ``code``'s line table and in those of the code nested in it."""
+    lines = {line for _, _, line in code.co_lines() if line is not None}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            lines |= executable_lines(const)
+    return lines
+
+
+def ranges(lines) -> str:
+    """``[1, 2, 3, 7]`` as ``1-3, 7``."""
+    spans: list[list[int]] = []
+    for line in sorted(lines):
+        if spans and line == spans[-1][1] + 1:
+            spans[-1][1] = line
+        else:
+            spans.append([line, line])
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
+
+
+def run_callers() -> None:
+    """The golden CLI cases, then the demos, with their output discarded."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    os.environ["COLUMNS"] = "100"  # the width the golden cases were recorded at
+    from test_cli_golden import CASES, run_case
+
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            run_case(name, Path(tmp))
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_path(str(demo), run_name="__main__")
+
+
+def unreached_names(module) -> list[str]:
+    names = []
+    for name in getattr(module, "__all__", []):
+        obj = getattr(module, name)
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue  # a constant or a re-export
+        if isinstance(obj, types.FunctionType):
+            if obj.__code__ not in entered:
+                names.append(name)
+        elif isinstance(obj, type):
+            methods = [getattr(v, "__func__", getattr(v, "fget", v)) for v in vars(obj).values()]
+            codes = {m.__code__ for m in methods if isinstance(m, types.FunctionType)}
+            if obj not in built and not codes & entered:
+                names.append(name)
+    return names
+
+
+def main() -> int:
+    sys.settrace(_calls)
+    try:
+        run_callers()
+    finally:
+        sys.settrace(None)
+    print(f"{'module':<18}{'executable':>11}{'unreached':>10}  unreached lines")
+    total = missed = 0
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        code = compile(path.read_text(), str(path), "exec")
+        lines = executable_lines(code)
+        left = lines - reached.get(str(path), set())
+        total += len(lines)
+        missed += len(left)
+        print(f"{path.name:<18}{len(lines):>11}{len(left):>10}  {ranges(left)}")
+        module = importlib.import_module(
+            "qdisttest" if path.stem == "__init__" else f"qdisttest.{path.stem}"
+        )
+        unused += [f"{module.__name__}.{name}" for name in unreached_names(module)]
+    print(f"{'total':<18}{total:>11}{missed:>10}")
+    print("public names no caller reached:", ", ".join(unused) or "none")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
