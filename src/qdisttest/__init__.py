@@ -33,7 +33,6 @@ from .distributions import (
     disjoint_pair,
     distribution_of,
     half_support,
-    inner_product,
     l1_distance,
     load_oracle,
     make_oracle,

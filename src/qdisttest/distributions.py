@@ -9,16 +9,16 @@ one classical sample means reading the table at a uniformly random input.
 :func:`make_oracle` builds no table: its oracle reads the element-order
 table (``counts[i]`` copies of each ``i`` in turn) of its distribution
 from the blocks, drawing nothing.  Explicit tables keep their arrays.
-Distances and inner products are evaluated in exact integer arithmetic
-over the merged blocks and only converted to float at the very end, which
-makes round-trips through :func:`make_oracle` / :func:`distribution_of`
-exact.
+Distances are evaluated in exact integer arithmetic over the merged blocks
+and only converted to float at the very end, which makes round-trips
+through :func:`make_oracle` / :func:`distribution_of` exact.
 
 All stochastic helpers take an explicit :class:`numpy.random.Generator` and
 an optional :class:`QueryLedger`, so experiments are replayable and every
-oracle access is auditable.  Oracle guarantees do not depend on the table
-size: inflating ``s`` by any integer factor leaves the generated
-distribution, and therefore all tester behaviour, unchanged.
+oracle access is auditable.  :func:`make_oracle` builds the oracle of size
+``s = denominator``.  An explicit table may have any size: repeating each of
+its entries an integer number of times leaves the generated distribution,
+and therefore all tester behaviour, unchanged.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "classical_sample",
     "classical_samples",
     "l1_distance",
-    "inner_product",
     "uniform",
     "half_support",
     "biased_pair",
@@ -50,6 +49,15 @@ __all__ = [
 
 # Threshold below which cross-multiplied integer sums provably fit in int64.
 _INT64_SAFE = 2**62
+
+
+def _int_vector(values, what: str) -> np.ndarray:
+    """``values`` as a new int64 array (the caller's array stays writable);
+    ``ValueError`` unless it is a non-empty 1-d vector of a numpy integer type."""
+    arr = np.array(values)
+    if arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be a non-empty 1-d integer vector")
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -101,50 +109,42 @@ class Distribution:
     __slots__ = ("starts", "levels", "n", "denominator", "_counts", "_index")
 
     def __init__(self, counts, denominator: int):
-        arr = np.array(counts, dtype=np.int64)  # a copy: the caller's array stays writable
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("counts must be a non-empty 1-d integer vector")
-        if arr.min() < 0:
-            raise ValueError("weights must be non-negative")
-        denominator = int(denominator)
-        if denominator < 1:
-            raise ValueError("denominator must be a positive integer")
-        if int(arr.sum()) != denominator:
-            raise ValueError("weights must sum to exactly 1 (counts to denominator)")
-        arr.flags.writeable = False
+        arr = _int_vector(counts, "counts")
         starts = np.concatenate(([0], np.flatnonzero(arr[1:] != arr[:-1]) + 1))
-        self._set_blocks(starts, arr[starts], arr.size, denominator)
-        self._counts = arr
+        levels = arr[starts]  # every count is a level: below the bound the int64 sum is exact
+        total = int(arr.sum()) if int(levels.max()) * arr.size < _INT64_SAFE else sum(arr.tolist())
+        self._set_blocks(starts, levels, arr.size, denominator, total)
 
     @classmethod
     def from_blocks(cls, starts, levels, n: int, denominator: int) -> "Distribution":
         """Elements ``starts[j]`` up to ``starts[j+1]`` (or ``n``) have count
         ``levels[j]``.  Adjacent blocks of equal count are merged; the cost is
         O(blocks), whatever ``n``."""
-        starts = np.asarray(starts, dtype=np.int64)
-        levels = np.asarray(levels, dtype=np.int64)
-        n, denominator = int(n), int(denominator)
-        if starts.ndim != 1 or starts.size == 0 or starts.shape != levels.shape:
+        starts, levels = _int_vector(starts, "block starts"), _int_vector(levels, "block levels")
+        n = int(n)
+        if starts.shape != levels.shape:
             raise ValueError("blocks need one level per start, and at least one block")
         if starts[0] != 0 or starts[-1] >= n or np.any(starts[1:] <= starts[:-1]):
             raise ValueError("block starts must rise from 0 and lie in [0, n)")
+        total = sum(c * k for c, k in zip(levels.tolist(), np.diff(starts, append=n).tolist()))
+        keep = np.concatenate(([True], levels[1:] != levels[:-1]))
+        d = object.__new__(cls)
+        d._set_blocks(starts[keep], levels[keep], n, denominator, total)
+        return d
+
+    def _set_blocks(self, starts, levels, n, denominator, total) -> None:
+        """Check the blocks against the exact count ``total`` and store them."""
+        denominator = int(denominator)
         if levels.min() < 0:
             raise ValueError("weights must be non-negative")
         if denominator < 1:
             raise ValueError("denominator must be a positive integer")
-        sizes = np.diff(starts, append=n)
-        if sum(c * k for c, k in zip(levels.tolist(), sizes.tolist())) != denominator:
+        if total != denominator:
             raise ValueError("weights must sum to exactly 1 (counts to denominator)")
-        keep = np.concatenate(([True], levels[1:] != levels[:-1]))
-        d = object.__new__(cls)
-        d._set_blocks(starts[keep], levels[keep], n, denominator)
-        return d
-
-    def _set_blocks(self, starts, levels, n, denominator) -> None:
         starts.flags.writeable = False
         levels.flags.writeable = False
         self.starts, self.levels = starts, levels
-        self.n, self.denominator = int(n), denominator
+        self.n, self.denominator = n, denominator
         self._counts = self._index = None
 
     def sizes(self) -> np.ndarray:
@@ -243,9 +243,7 @@ class OracleTable:
     __slots__ = ("_table", "n", "s", "_dist")
 
     def __init__(self, table, n: int):
-        arr = np.array(table, dtype=np.int64)  # a copy: the caller's array stays writable
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("oracle table must be a non-empty 1-d integer vector")
+        arr = _int_vector(table, "oracle table")
         n = int(n)
         if n < 1:
             raise ValueError("range size must be a positive integer")
@@ -283,34 +281,22 @@ class OracleTable:
 
 
 def make_oracle(p: Distribution, s: int, seed=None) -> OracleTable:
-    """Oracle of size ``s`` generating ``p``, whose table holds ``p_i * s``
-    copies of each ``i`` in element order.  It stores ``p`` (over denominator
-    ``s``), not the table, so building it costs O(blocks); testers read tables
-    only at uniformly random inputs, so the layout is invisible to them.
-    ``seed`` is unused, since nothing is drawn; it is kept for callers
-    written for the shuffled tables of 0.2.0 and earlier.
+    """Oracle of size ``s = p.denominator`` generating ``p``, whose table holds
+    ``counts[i]`` copies of each ``i`` in element order.  It stores ``p``, not
+    the table, so building it costs O(1); testers read tables only at
+    uniformly random inputs, so the layout is invisible to them.  ``seed`` is
+    unused, since nothing is drawn; it is kept for callers written for the
+    shuffled tables of 0.2.0 and earlier.
 
     Raises
     ------
     ValueError
-        If some ``p_i * s`` is not an integer.
+        If ``s`` is not the denominator of ``p``.
     """
-    s = int(s)
-    if s < 1:
-        raise ValueError("oracle size must be a positive integer")
-    dist = p
     if s != p.denominator:
-        # p_i * s = counts_i / (den/g) * (s/g) with g = gcd(den, s): integral
-        # iff den/g divides counts_i, and no intermediate value exceeds s.
-        g = math.gcd(p.denominator, s)
-        step = p.denominator // g
-        if np.any(p.levels % step):
-            raise ValueError(
-                f"every weight times s must be an integer (s={s}, denominator={p.denominator})"
-            )
-        dist = Distribution.from_blocks(p.starts, p.levels // step * (s // g), p.n, s)
+        raise ValueError(f"oracle size must be the denominator {p.denominator}, got s={s}")
     o = object.__new__(OracleTable)
-    o._table, o.n, o.s, o._dist = None, p.n, s, dist
+    o._table, o.n, o.s, o._dist = None, p.n, p.denominator, p
     return o
 
 
@@ -337,24 +323,16 @@ def classical_samples(
     return o.element_at(idx)
 
 
-def _check_same_support(p: Distribution, q: Distribution) -> None:
-    if p.n != q.n:
-        raise ValueError(f"support sizes differ: {p.n} != {q.n}")
-
-
-def _pieces(p: Distribution, q: Distribution):
-    """Sizes and the two counts of the pieces on which neither distribution
-    changes count (a piece is empty where both change at once)."""
-    cuts = np.concatenate((p.starts, q.starts))
-    cuts.sort()
-    return np.diff(cuts, append=p.n), p.counts_at(cuts), q.counts_at(cuts)
-
-
 def l1_distance(p: Distribution, q: Distribution) -> float:
     """L1 distance ``sum |p_i - q_i|``, exact up to one final float rounding."""
-    _check_same_support(p, q)
+    if p.n != q.n:
+        raise ValueError(f"support sizes differ: {p.n} != {q.n}")
     s1, s2 = p.denominator, q.denominator
-    sizes, a, b = _pieces(p, q)
+    # Sizes and the two counts of the pieces on which neither distribution
+    # changes count (a piece is empty where both change at once).
+    cuts = np.concatenate((p.starts, q.starts))
+    cuts.sort()
+    sizes, a, b = np.diff(cuts, append=p.n), p.counts_at(cuts), q.counts_at(cuts)
     # Each piece adds at most s1 * s2, and the total is at most 2 * s1 * s2.
     if 2 * s1 * s2 < _INT64_SAFE:
         num = int((np.abs(a * s2 - b * s1) * sizes).sum())
@@ -362,18 +340,6 @@ def l1_distance(p: Distribution, q: Distribution) -> float:
         num = sum(
             abs(x * s2 - y * s1) * k for k, x, y in zip(sizes.tolist(), a.tolist(), b.tolist())
         )
-    return num / (s1 * s2)
-
-
-def inner_product(p: Distribution, q: Distribution) -> float:
-    """Inner product ``sum p_i q_i``, exact up to one final float rounding."""
-    _check_same_support(p, q)
-    s1, s2 = p.denominator, q.denominator
-    sizes, a, b = _pieces(p, q)
-    if s1 * s2 < _INT64_SAFE:  # the total, and every piece, is at most s1 * s2
-        num = int((a * b * sizes).sum())
-    else:
-        num = sum(x * y * k for k, x, y in zip(sizes.tolist(), a.tolist(), b.tolist()))
     return num / (s1 * s2)
 
 
@@ -397,7 +363,7 @@ def _reduced(starts, levels, n: int, den: int) -> Distribution:
 
 
 def uniform(n: int) -> Distribution:
-    """Uniform distribution on ``n`` elements (recommended oracle size: ``n``)."""
+    """Uniform distribution on ``n`` elements (oracle size, the denominator: ``n``)."""
     if n < 1:
         raise ValueError("n must be positive")
     return Distribution.from_blocks([0], [1], n, n)
@@ -407,7 +373,7 @@ def half_support(n: int) -> Distribution:
     """Mass ``2/n`` on the first half, zero on the second.
 
     The canonical distribution at L1 distance exactly 1 from uniform.
-    Recommended oracle size: ``n // 2``.
+    Oracle size, the denominator: ``n // 2``.
     """
     if n < 2 or n % 2:
         raise ValueError("n must be an even integer >= 2")

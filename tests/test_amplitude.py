@@ -182,7 +182,7 @@ def test_est_prob_of_one_element_draws_as_the_element_twice():
     p, q = overlapping_pair(40, 0.5)
     oracles = [
         make_oracle(p, p.denominator),
-        make_oracle(q, 3 * q.denominator),
+        OracleTable(np.repeat(make_oracle(q, q.denominator).table, 3), q.n),
         OracleTable([0, 2, 2, 5, 5, 5, 6], 7),
     ]
     for o in oracles:

@@ -18,13 +18,12 @@ from qdisttest.distributions import (
     classical_samples,
     disjoint_pair,
     half_support,
-    inner_product,
     make_oracle,
     overlapping_pair,
     uniform,
 )
 
-from helpers import collision_pairs, random_distribution
+from helpers import collision_pairs, inner_product, random_distribution
 
 
 # ---------------------------------------------------------------------------

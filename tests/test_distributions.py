@@ -13,7 +13,6 @@ from qdisttest.distributions import (
     disjoint_pair,
     distribution_of,
     half_support,
-    inner_product,
     l1_distance,
     load_oracle,
     make_oracle,
@@ -22,7 +21,7 @@ from qdisttest.distributions import (
     uniform,
 )
 
-from helpers import random_distribution
+from helpers import inner_product, random_distribution
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +35,33 @@ def test_distribution_validation():
         Distribution([1, 1], 3)  # counts must sum to denominator
     with pytest.raises(ValueError):
         Distribution([], 1)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        # 4 * 2**62 + 5 wraps to 5 in an int64 sum
+        (lambda: Distribution([2**62] * 4 + [5], 5), "sum to exactly 1"),
+        (lambda: Distribution(np.array([2**63, 1], dtype=np.uint64), 1), "non-negative"),
+        # a non-integer count, level, start or table entry is not truncated
+        (lambda: Distribution([1.9, 1.1], 2), "integer vector"),
+        (lambda: Distribution.from_blocks([0, 1.5], [1.9, 1.2], 3, 3), "integer vector"),
+        (lambda: Distribution.from_blocks([0, 1], [1.0, 2.0], 3, 5), "integer vector"),
+        (lambda: OracleTable([0.5, 1.7], 2), "integer vector"),
+        (lambda: OracleTable(np.array([[0, 1]]), 2), "integer vector"),
+    ],
+    ids=["int64-wrap", "uint64-above-int64", "float-counts", "float-blocks",
+         "float-levels", "float-table", "2d-table"],
+)
+def test_constructors_reject_wrapped_sums_and_non_integers(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_counts_sum_exactly_past_int64():
+    p = Distribution([2**62, 2**62, 0], 2**63)
+    assert p.levels.tolist() == [2**62, 0] and p.max_weight == 0.5
+    assert Distribution(np.array([1, 2], dtype=np.uint8), 3) == Distribution([1, 2], 3)
 
 
 def test_distribution_equality_across_denominators():
@@ -80,39 +106,42 @@ def test_make_oracle_uniform_is_permutation():
 
 
 def test_make_oracle_half_support_counts():
-    # weight 2/8 per live element at table size 8: each appears exactly twice
-    o = make_oracle(half_support(8), 8, seed=2)
+    # weight 1/4 per live element at the denominator 4: each appears once
+    o = make_oracle(half_support(8), 4, seed=2)
     counts = np.bincount(o.table, minlength=8)
-    assert counts[:4].tolist() == [2, 2, 2, 2]
+    assert counts[:4].tolist() == [1, 1, 1, 1]
     assert counts[4:].tolist() == [0, 0, 0, 0]
+    # a table of 8 is an explicit one: each live element twice, same distribution
+    doubled = OracleTable(np.repeat(o.table, 2), 8)
+    assert np.bincount(doubled.table, minlength=8)[:4].tolist() == [2, 2, 2, 2]
+    assert doubled.distribution() == o.distribution()
+    with pytest.raises(ValueError, match="denominator"):
+        make_oracle(half_support(8), 8, seed=2)
 
 
 def test_make_oracle_lays_out_elements_in_order_and_keeps_p():
     p = Distribution([1, 0, 2, 1], 4)
     o = make_oracle(p, 4)
     assert o.table.tolist() == [0, 2, 2, 3]
-    assert o.distribution() is p  # s == denominator: p itself, no recount
-    # s = k * denominator: each element k times as often
-    o = make_oracle(p, 12)
-    assert o.table.tolist() == [0] * 3 + [2] * 6 + [3] * 3
-    assert o.distribution().denominator == 12 and o.distribution() == p
-    # gcd case: 2/8 and 6/8 of a table of 4
-    o = make_oracle(Distribution([2, 6], 8), 4)
-    assert o.table.tolist() == [0, 1, 1, 1]
-    assert o.distribution() == Distribution([1, 3], 4)
-    # a denominator near 2**61: every value the gcd form computes stays within s
-    o = make_oracle(Distribution([2**60, 2**60], 2**61), 4)
-    assert o.table.tolist() == [0, 0, 1, 1]
-    assert o.distribution() == Distribution([1, 1], 2)
-    with pytest.raises(ValueError, match="integer"):
-        make_oracle(Distribution([1, 2], 3), 4)
-    with pytest.raises(ValueError, match="integer"):
-        make_oracle(Distribution([2**60 + 1, 2**60 - 1], 2**61), 4)
+    assert o.distribution() is p  # p itself, no recount
+    # every other size is an error, a multiple or a divisor of the denominator too
+    for s in (12, 8, 2, 3):
+        with pytest.raises(ValueError, match="denominator"):
+            make_oracle(p, s)
+    # a denominator near 2**61: the oracle is built without its table
+    p = Distribution([2**60, 2**60], 2**61)
+    o = make_oracle(p, 2**61)
+    assert o.s == 2**61 and o.distribution() is p
+    assert o.element_at(np.array([0, 2**60 - 1, 2**60, 2**61 - 1])).tolist() == [0, 0, 1, 1]
+    with pytest.raises(ValueError, match="denominator"):
+        make_oracle(p, 4)
 
 
 def test_make_oracle_divisibility_error():
-    with pytest.raises(ValueError, match="integer"):
-        make_oracle(uniform(3), 4, seed=0)
+    # the oracle size is the denominator, even where a weight times s is an integer
+    for s in (4, 6, 1):
+        with pytest.raises(ValueError, match="denominator"):
+            make_oracle(uniform(3), s, seed=0)
 
 
 def test_distribution_of_counting():
@@ -128,11 +157,15 @@ def test_make_oracle_round_trip_exact(data):
     rng = np.random.default_rng(seed)
     counts, den = random_distribution(rng, n)
     p = Distribution(counts, den)
-    factor = data.draw(st.integers(1, 3))
-    o = make_oracle(p, factor * den, seed=seed)
+    o = make_oracle(p, den, seed=seed)
     assert distribution_of(o) == p
     # the distribution handed to the oracle is the one its table generates
     assert np.array_equal(np.bincount(o.table, minlength=n), o.distribution().counts)
+    # repeating every table entry k times leaves the distribution unchanged
+    factor = data.draw(st.integers(2, 3))
+    assert distribution_of(OracleTable(np.repeat(o.table, factor), n)) == p
+    with pytest.raises(ValueError, match="denominator"):
+        make_oracle(p, factor * den, seed=seed)
 
 
 def test_permutation_invariance():
@@ -189,11 +222,14 @@ def test_element_at_and_counts_at_match_the_dense_table():
         assert np.array_equal(p.counts_at(idx), counts[idx])
         assert np.array_equal(p.counts_at(np.arange(n)), counts)
         assert int(p.counts_at(int(idx[0]))) == counts[idx[0]]
-        # the oracle reads the same table, also at a multiple of the denominator
-        o = make_oracle(p, 3 * p.denominator)
-        tripled = np.repeat(np.arange(n), 3 * counts)
-        assert np.array_equal(o.element_at(np.arange(o.s)), tripled)
-        assert np.array_equal(o.table, tripled)
+        # the oracle reads the same table; the tripled explicit one, each entry thrice
+        o = make_oracle(p, p.denominator)
+        assert np.array_equal(o.element_at(np.arange(o.s)), table)
+        assert np.array_equal(o.table, table)
+        tripled = OracleTable(np.repeat(o.table, 3), n)
+        tripled_table = np.repeat(np.arange(n), 3 * counts)
+        assert np.array_equal(tripled.element_at(np.arange(tripled.s)), tripled_table)
+        assert tripled.distribution() == p
     # one element of count 2**30 after 2**40 empty ones: positions past int64
     far = Distribution.from_blocks([0, 2**40], [0, 2**30], 2**40 + 1, 2**30)
     with pytest.raises(ValueError, match="overflow"):
@@ -283,7 +319,6 @@ def test_block_distances_equal_the_dense_integer_formula(data):
     s1, s2 = sum(ca), sum(cb)
     p, q = Distribution(ca, s1), Distribution(cb, s2)
     assert l1_distance(p, q) == sum(abs(a * s2 - b * s1) for a, b in zip(ca, cb)) / (s1 * s2)
-    assert inner_product(p, q) == sum(a * b for a, b in zip(ca, cb)) / (s1 * s2)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +485,7 @@ def test_recommended_sizes_are_minimal():
 
 
 def test_oracle_text_round_trip(tmp_path):
-    o = make_oracle(half_support(8), 16, seed=5)
+    o = OracleTable(np.repeat(make_oracle(half_support(8), 4, seed=5).table, 4), 8)  # s = 16
     path = tmp_path / "instance.txt"
     save_oracle(o, path)
     loaded, kind = load_oracle(path)

@@ -6,12 +6,12 @@ import pytest
 from qdisttest.amplitude import DEFAULT_C
 from qdisttest.distributions import (
     Distribution,
+    OracleTable,
     QueryLedger,
     biased_pair,
     classical_samples,
     disjoint_pair,
     half_support,
-    inner_product,
     make_oracle,
     overlapping_pair,
     uniform,
@@ -28,7 +28,7 @@ from qdisttest.testers import (
     utest,
 )
 
-from helpers import collision_pairs
+from helpers import collision_pairs, inner_product
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +234,7 @@ def test_uniformity_paper_mode_runnable_at_large_eps():
 
 def test_utest_rejects_point_mass_by_collision():
     rng = np.random.default_rng(7)
-    counts = np.zeros(16, dtype=np.int64)
-    counts[3] = 1
-    o = make_oracle(Distribution(counts, 1), 4, rng)
+    o = OracleTable([3, 3, 3, 3], 16)  # a point mass on element 3
     params = UniformityParams(epsilon=0.5, mode="practical")
     ledger = QueryLedger()
     rec = utest(o, params, rng, ledger)

@@ -1,12 +1,15 @@
 """Reachability census of ``src/qdisttest`` under the program's own callers.
 
-Runs every golden CLI case (through ``tests/test_cli_golden.run_case``) and
-every demo in ``demos/``, in this process, under ``sys.settrace``.  Then it
-prints, per module, the executable lines (from the compiled line tables) and
-the ones no caller reached, and last the functions and classes named in a
-module's ``__all__`` that no caller reached: a function whose code never
-ran, a class none of whose methods ran and that was never built.  Constants
-and re-exported names are not traced.  The census reports and never fails.
+Runs every golden CLI case (through ``tests/test_cli_golden.run_case``), every
+demo in ``demos/``, every n = 1e9 argv of ``tools/scale_argvs.txt`` (the list
+CI runs in a 2 GiB address space) and the first ops of each workload in
+``perfbench/worker.py``'s ``WORKLOADS``, in this process, under
+``sys.settrace``.  Then it prints, per module, the executable lines (from the
+compiled line tables) and the ones no caller reached, and last the functions
+and classes named in a module's ``__all__`` that no caller reached: a
+function whose code never ran, a class none of whose methods ran and that
+was never built.  Constants and re-exported names are not traced.  The
+census reports and never fails.
 
     python tools/census.py
 """
@@ -26,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qdisttest"
 PREFIX = str(PACKAGE) + os.sep
+WORKLOAD_OPS = 2  # the estdist workload alternates two pairs
 
 reached: dict[str, set[int]] = {}  # file -> lines that ran
 entered: set[types.CodeType] = set()  # code objects of the package that ran
@@ -69,18 +73,41 @@ def ranges(lines) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
 
 
+def quiet() -> contextlib.ExitStack:
+    """A context that discards what the callers print."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+    stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+    return stack
+
+
 def run_callers() -> None:
-    """The golden CLI cases, then the demos, with their output discarded."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    """The golden CLI cases, the demos, the n = 1e9 argvs and the first ops of
+    each perfbench workload, with their output discarded."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
     os.environ["COLUMNS"] = "100"  # the width the golden cases were recorded at
     from test_cli_golden import CASES, run_case
+    from worker import WORKLOADS, child_rng, load_program
 
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             run_case(name, Path(tmp))
     for demo in sorted((ROOT / "demos").glob("*.py")):
-        with contextlib.redirect_stdout(io.StringIO()):
+        with quiet():
             runpy.run_path(str(demo), run_name="__main__")
+    program = load_program()
+    for line in (ROOT / "tools" / "scale_argvs.txt").read_text().splitlines():
+        if not line.strip() or line.startswith("#"):
+            continue
+        with quiet():
+            code = program["cli"].main(line.split())
+        if code != 0:
+            print(f"exit {code}: {line}")
+    for kind in WORKLOADS.values():
+        with tempfile.TemporaryDirectory() as tmp, quiet():
+            workload = kind(program, 1, Path(tmp))
+            for g in range(WORKLOAD_OPS):
+                workload.record(g, workload.run(g, child_rng(1, 2, g)))
 
 
 def unreached_names(module) -> list[str]:
