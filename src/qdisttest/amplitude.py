@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import OracleTable, QueryLedger
+from .distributions import OracleTable, QueryLedger, _count, _elements, _positive, _same_support
 
 __all__ = [
     "ProbEstimate",
@@ -105,9 +105,7 @@ def ae_outcome_pmf(a: float, m: int) -> np.ndarray:
     """
     if not 0.0 <= a <= 1.0:
         raise ValueError("amplitude-squared value must lie in [0, 1]")
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    m = _count(m, "m")
     if m > PMF_LENGTH_CAP:
         raise ValueError(
             f"m={m} outcome law too large to materialize (cap {PMF_LENGTH_CAP}); "
@@ -132,13 +130,11 @@ def unitary_reference_pmf(o: OracleTable, target, m: int) -> np.ndarray:
     distribution.  Exponentially more expensive than :func:`ae_outcome_pmf`;
     intended as its independent test oracle.
     """
-    m = int(m)
+    m = _count(m, "m")
     if o.s > DENSE_S_CAP:
         raise ValueError(f"oracle size {o.s} exceeds dense-simulation cap {DENSE_S_CAP}")
     if m > DENSE_M_CAP:
         raise ValueError(f"m={m} exceeds dense-simulation cap {DENSE_M_CAP}")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
     target = np.asarray(list(target) if not isinstance(target, np.ndarray) else target,
                         dtype=np.int64)
     s = o.s
@@ -176,8 +172,7 @@ class ProbEstimate:
 def check_accuracy(delta: float, omega: float) -> None:
     """Reject an accuracy ``delta`` that is not positive and finite, or a
     failure probability ``omega`` outside (0, 1/2]; NaN fails both."""
-    if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    _positive(delta, "delta")
     if not 0 < omega <= 0.5:
         raise ValueError(f"omega must lie in (0, 1/2], got {omega!r}")
 
@@ -188,8 +183,7 @@ def queries_for(delta: float, omega: float, pa_upper: float, c: float | None = N
     if not 0.0 <= pa_upper <= 1.0:
         raise ValueError("pa_upper must lie in [0, 1]")
     c = DEFAULT_C if c is None else float(c)
-    if not 0 < c < math.inf:
-        raise ValueError(f"c must be positive and finite, got {c!r}")
+    _positive(c, "c")
     # omega * delta can underflow to 0 for a tiny delta: then m1 is too large.
     m1 = c * math.sqrt(pa_upper) / (omega * delta) if omega * delta else math.inf
     m2 = c / (omega * math.sqrt(delta))
@@ -208,10 +202,9 @@ def _target_mass(o: OracleTable, target) -> float:
             raise ValueError("target elements must be integers that lie in [0, n)")
         return int(dist.counts_at(i)) / dist.denominator
     idx = np.sort(target)
+    _elements(idx, o.n, ordered=True)
     if idx.size == 0:
         return 0.0
-    if idx.dtype.kind not in "iu" or idx[0] < 0 or idx[-1] >= o.n:
-        raise ValueError("target elements must be integers that lie in [0, n)")
     counts = dist.counts_at(idx)
     counts[1:][idx[1:] == idx[:-1]] = 0  # a repeated element counts once
     return int(counts.sum()) / dist.denominator
@@ -286,9 +279,7 @@ def est_prob(
     elements count once.  Charges ``m`` quantum applications to the ledger.
     Zero-mass targets yield estimate 0 with certainty.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    m = _count(m, "m")
     a = _target_mass(o, target)
     y = _draw(_branch(a, m), m, rng)
     if ledger is not None:
@@ -319,15 +310,11 @@ def est_probs(
     Charges ``m * len(elements)`` quantum applications to each oracle's ledger.
     The outcomes are int64, so ``m`` must lie below ``2**63``.
     """
-    m = int(m)
-    if not 1 <= m < 2**63:
+    m = _count(m, "m")
+    if m >= 2**63:
         raise ValueError(f"m must be a positive integer below 2**63, got {m}")
-    n = oracles[0].n
-    if any(o.n != n for o in oracles):
-        raise ValueError("oracles must share a support size")
     idx = np.asarray(elements)
-    if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n):
-        raise ValueError("target elements must be integers that lie in [0, n)")
+    _elements(idx, _same_support(*oracles))
     masses = []
     for o in oracles:
         dist = o.distribution()
@@ -382,6 +369,7 @@ def calibrate_constant(trials_per_cell: int, rng: np.random.Generator) -> float:
     RuntimeError
         If no sweep value satisfies every cell.
     """
+    trials_per_cell = _count(trials_per_cell, "trials_per_cell")
     for c in CALIBRATION_SWEEP:
         for a, delta, omega in CALIBRATION_GRID:
             coverage = min(1.0, coverage_probability(a, delta, queries_for(delta, omega, a, c)))

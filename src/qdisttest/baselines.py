@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import OracleTable, QueryLedger, classical_samples
+from .distributions import OracleTable, QueryLedger, _count, _same_support, classical_samples
 
 __all__ = [
     "classical_uniformity_test",
@@ -45,9 +45,7 @@ def classical_uniformity_test(
     ``(1 + eps^2)/n`` for any eps-nonuniform distribution.  Rejects at the
     midpoint ``(1 + eps^2/2)/n``.
     """
-    m = int(m)
-    if m < 2:
-        raise ValueError("need at least two samples to count collisions")
+    m = _count(m, "m", 2)  # a collision needs two samples
     samples = classical_samples(o, m, rng, ledger)
     samples.sort()  # a fresh array, sorted in place
     c_hat = _sorted_collision_pairs(samples) / (m * (m - 1) / 2)
@@ -68,12 +66,8 @@ def classical_statdiff_plugin(
     upward when m is far below the support size (disjoint-looking empirical
     supports), which is exactly the regime the quantum estimator escapes.
     """
-    if op.n != oq.n:
-        raise ValueError("oracles must share a support size")
-    m = int(m)
-    if m < 1:
-        raise ValueError("need at least one sample")
-    n = op.n
+    n = _same_support(op, oq)
+    m = _count(m, "m")
     if 16 * m >= n:  # many draws: histograms over all n cells
         # p's draws are counted before q's are drawn: one draw array at a time.
         diff = np.bincount(classical_samples(op, m, rng, ledger_p), minlength=n)
@@ -112,11 +106,8 @@ def classical_orthogonality_test(
     Never rejects disjoint distributions; finds an intersection with
     birthday-bound probability otherwise.
     """
-    if op.n != oq.n:
-        raise ValueError("oracles must share a support size")
-    m = int(m)
-    if m < 1:
-        raise ValueError("need at least one sample")
+    _same_support(op, oq)
+    m = _count(m, "m")
     sp = classical_samples(op, m, rng, ledger_p)
     sq = classical_samples(oq, m, rng, ledger_q)
     sq.sort()  # a fresh array, sorted in place: look each of sp up in it

@@ -36,9 +36,7 @@ class _Count(argparse.Action):
     # argparse turns only ArgumentError into usage-and-exit; the ValueError
     # raised here reaches main, which returns CONFIG_ERROR.
     def __call__(self, parser, namespace, value, option_string=None):
-        if value < 1:
-            raise ValueError(f"{option_string} must be positive")
-        setattr(namespace, self.dest, value)
+        setattr(namespace, self.dest, distributions._count(value, option_string))
 
 
 def _flag(name, **kw):
@@ -192,8 +190,7 @@ def _orthogonality(args):
 
 
 def _baseline_uniformity(args):
-    if not 0 < args.eps < math.inf:
-        raise ValueError("eps must be positive and finite")
+    distributions._positive(args.eps, "eps")
     rng = np.random.default_rng(args.seed)
     oracle = harness.make_instance(args.instance, args.n, args.eps)
     m = args.samples or harness.collision_samples(4.0, args.n, args.eps)

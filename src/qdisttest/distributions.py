@@ -60,6 +60,45 @@ def _int_vector(values, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _count(x, what: str, low: int = 1) -> int:
+    """``x`` as a Python int; ``ValueError`` naming ``what`` unless it is a
+    count of at least ``low``: a Python or numpy integer that is not a bool.
+    A float is rejected, never truncated."""
+    if type(x) is int and x >= low:  # the common case, without isinstance
+        return x
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < low:
+        raise ValueError(f"{what} must be an integer >= {low}, got {x!r}")
+    return int(x)
+
+
+def _even(n, what: str) -> int:
+    """``n`` as a Python int; ``ValueError`` unless it is an even integer >= 2."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2 or n % 2:
+        raise ValueError(f"{what} must be an even integer >= 2")
+    return int(n)
+
+
+def _positive(x, what: str) -> None:
+    """``ValueError`` naming ``what`` unless ``x`` is positive and finite (NaN fails)."""
+    if not 0 < x < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {x!r}")
+
+
+def _same_support(*oracles) -> int:
+    """The support size the oracles share; ``ValueError`` if they differ."""
+    if any(o.n != oracles[0].n for o in oracles):
+        raise ValueError("oracles must share a support size")
+    return oracles[0].n
+
+
+def _elements(idx: np.ndarray, n: int, ordered: bool = False) -> None:
+    """``ValueError`` unless the array ``idx`` holds integers that lie in
+    [0, n); a sorted (``ordered``) array is read at its two ends only."""
+    if idx.size and (idx.dtype.kind not in "iu" or (idx[0] if ordered else idx.min()) < 0
+                     or (idx[-1] if ordered else idx.max()) >= n):
+        raise ValueError("target elements must be integers that lie in [0, n)")
+
+
 @dataclass
 class QueryLedger:
     """Audit counters for oracle access.
@@ -74,14 +113,10 @@ class QueryLedger:
     quantum_applications: int = 0
 
     def add_classical(self, k: int = 1) -> None:
-        if k < 0:
-            raise ValueError("ledger increments must be non-negative")
-        self.classical_samples += int(k)
+        self.classical_samples += _count(k, "ledger increment", 0)
 
     def add_quantum(self, k: int = 1) -> None:
-        if k < 0:
-            raise ValueError("ledger increments must be non-negative")
-        self.quantum_applications += int(k)
+        self.quantum_applications += _count(k, "ledger increment", 0)
 
     @property
     def total(self) -> int:
@@ -121,7 +156,7 @@ class Distribution:
         ``levels[j]``.  Adjacent blocks of equal count are merged; the cost is
         O(blocks), whatever ``n``."""
         starts, levels = _int_vector(starts, "block starts"), _int_vector(levels, "block levels")
-        n = int(n)
+        n = _count(n, "n")
         if starts.shape != levels.shape:
             raise ValueError("blocks need one level per start, and at least one block")
         if starts[0] != 0 or starts[-1] >= n or np.any(starts[1:] <= starts[:-1]):
@@ -134,11 +169,9 @@ class Distribution:
 
     def _set_blocks(self, starts, levels, n, denominator, total) -> None:
         """Check the blocks against the exact count ``total`` and store them."""
-        denominator = int(denominator)
         if levels.min() < 0:
             raise ValueError("weights must be non-negative")
-        if denominator < 1:
-            raise ValueError("denominator must be a positive integer")
+        denominator = _count(denominator, "denominator")
         if total != denominator:
             raise ValueError("weights must sum to exactly 1 (counts to denominator)")
         starts.flags.writeable = False
@@ -244,9 +277,7 @@ class OracleTable:
 
     def __init__(self, table, n: int):
         arr = _int_vector(table, "oracle table")
-        n = int(n)
-        if n < 1:
-            raise ValueError("range size must be a positive integer")
+        n = _count(n, "range size")
         if arr.min() < 0 or arr.max() >= n:
             raise ValueError("table values must lie in [0, n)")
         arr.flags.writeable = False
@@ -293,7 +324,7 @@ def make_oracle(p: Distribution, s: int, seed=None) -> OracleTable:
     ValueError
         If ``s`` is not the denominator of ``p``.
     """
-    if s != p.denominator:
+    if _count(s, "s") != p.denominator:
         raise ValueError(f"oracle size must be the denominator {p.denominator}, got s={s}")
     o = object.__new__(OracleTable)
     o._table, o.n, o.s, o._dist = None, p.n, p.denominator, p
@@ -364,8 +395,6 @@ def _reduced(starts, levels, n: int, den: int) -> Distribution:
 
 def uniform(n: int) -> Distribution:
     """Uniform distribution on ``n`` elements (oracle size, the denominator: ``n``)."""
-    if n < 1:
-        raise ValueError("n must be positive")
     return Distribution.from_blocks([0], [1], n, n)
 
 
@@ -375,8 +404,7 @@ def half_support(n: int) -> Distribution:
     The canonical distribution at L1 distance exactly 1 from uniform.
     Oracle size, the denominator: ``n // 2``.
     """
-    if n < 2 or n % 2:
-        raise ValueError("n must be an even integer >= 2")
+    n = _even(n, "n")
     return Distribution.from_blocks([0, n // 2], [1, 0], n, n // 2)
 
 
@@ -389,8 +417,7 @@ def biased_pair(n: int, eps) -> tuple[Distribution, Distribution]:
     f = _as_fraction(eps)
     if not 0 < f <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    if n < 2 or n % 2:
-        raise ValueError("n must be an even integer >= 2")
+    n = _even(n, "n")
     a, b = f.numerator, f.denominator
     p = _reduced([0, n // 2], [b + a, b - a], n, b * n)
     u = uniform(n)
@@ -400,9 +427,7 @@ def biased_pair(n: int, eps) -> tuple[Distribution, Distribution]:
 
 def disjoint_pair(n: int) -> tuple[Distribution, Distribution]:
     """Two uniform distributions on disjoint halves: L1 distance exactly 2."""
-    if n < 2 or n % 2:
-        raise ValueError("n must be an even integer >= 2")
-    h = n // 2
+    h = _even(n, "n") // 2
     p = Distribution.from_blocks([0, h], [1, 0], n, h)
     q = Distribution.from_blocks([0, h], [0, 1], n, h)
     assert l1_distance(p, q) == 2.0
@@ -418,8 +443,7 @@ def overlapping_pair(n: int, eps) -> tuple[Distribution, Distribution]:
     f = _as_fraction(eps)
     if not 0 < f <= 2:
         raise ValueError("eps must lie in (0, 2]")
-    if n < 2 or n % 2:
-        raise ValueError("n must be an even integer >= 2")
+    n = _even(n, "n")
     a, b = f.numerator, f.denominator
     blocks = [0, n // 2]
     p = _reduced(blocks, [2 * b, 0], n, b * n)

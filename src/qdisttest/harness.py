@@ -16,6 +16,7 @@ import numpy as np
 from . import baselines, testers
 from .distributions import (
     OracleTable,
+    _count,
     biased_pair,
     disjoint_pair,
     half_support,
@@ -250,7 +251,7 @@ def run_scaling(
     if not 0 <= target_error < 1:  # also rejects NaN
         raise ValueError("target error must lie in [0, 1)")
     cases_at, test, budget_at, sweep = _SCALING_TESTERS[tester]
-    n_values = [int(n) for n in n_values]
+    n_values = [_count(n, "n") for n in n_values]
     smallest = min(n_values)
 
     # Cell (i, j) has its own stream, so the cells tried at one n leave the

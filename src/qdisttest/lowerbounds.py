@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution, OracleTable, classical_samples, make_oracle
+from .distributions import _count, _even, _positive
 
 __all__ = [
     "CollisionFunction",
@@ -53,9 +54,7 @@ class CollisionFunction:
 
     def __post_init__(self):
         arr = np.array(self.table, dtype=np.int64)  # a copy: the caller's array stays writable
-        n = arr.size
-        if n < 2 or n % 2:
-            raise ValueError("domain size must be an even integer >= 2")
+        n = _even(arr.size, "domain size")
         if arr.min() < 0 or arr.max() >= (3 * n) // 2:
             raise ValueError("values must lie in [0, 3n/2)")
         _, mult = np.unique(arr, return_counts=True)
@@ -148,8 +147,7 @@ def fingerprint_of(samples) -> tuple[tuple[int, int], ...]:
 
 def _poisson_draws(p: Distribution, m: float, rng: np.random.Generator) -> np.ndarray:
     """A Poisson(m)-size i.i.d. sample from p, drawn through its oracle."""
-    if not m > 0:  # written so that NaN fails too
-        raise ValueError("rate parameter must be positive")
+    _positive(m, "rate parameter")
     return classical_samples(make_oracle(p, p.denominator), int(rng.poisson(m)), rng)
 
 
@@ -187,10 +185,8 @@ def valiant_bound(p: Distribution, m: float, delta: float) -> float:
     ``m * max_i p_i`` of about 35) it raises ``ValueError``; the bound there
     is already past 1e15, and no L1 distance exceeds 2.
     """
-    if not m > 0:  # written so that NaN fails too
-        raise ValueError("rate parameter must be positive")
-    if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    _positive(m, "rate parameter")
+    _positive(delta, "delta")
     if p.max_weight > delta / m:
         raise ValueError(
             f"precondition failed: max weight {p.max_weight:.3g} exceeds delta/m={delta / m:.3g}"
@@ -250,14 +246,9 @@ class CorollaryReport:
 
 def corollary_report(n: int, a: int, delta: float) -> CorollaryReport:
     """Evaluate the untestability arithmetic at ``m = 2^-a * sqrt(n)``."""
-    n = int(n)
-    a = int(a)
-    if n < 2 or n % 2:
-        raise ValueError("n must be an even integer >= 2")
-    if a < 0:
-        raise ValueError("a must be a non-negative integer")
-    if not 0 < delta < math.inf:  # also rejects NaN
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    n = _even(n, "n")
+    a = _count(a, "a", 0)
+    _positive(delta, "delta")
     m = 2.0**-a * math.sqrt(n)
     sup_weight = 2.0 / n
     precondition_ok = sup_weight <= delta / m
@@ -289,8 +280,7 @@ def empirical_fingerprint_tv(
     Plug-in TV is biased upward on sparse supports; a warning is issued when
     the trial count is below 100x the observed joint support size.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    trials = _count(trials, "trials")
     cp = Counter(sample_poissonized_fingerprint(p, m, rng) for _ in range(trials))
     cq = Counter(sample_poissonized_fingerprint(q, m, rng) for _ in range(trials))
     support = set(cp) | set(cq)

@@ -34,6 +34,7 @@ from .distributions import (
     classical_sample,  # noqa: F401  perfbench/tracing.py looks it up here
     classical_samples,
 )
+from .distributions import _count, _positive, _same_support
 
 __all__ = [
     "StatDiffParams",
@@ -89,6 +90,14 @@ class TestVerdict:
     rounds: list[RoundRecord]
 
 
+def _check_counts(params, *names) -> None:
+    """Check each explicit count of ``params`` and keep it as a Python int."""
+    for name in names:
+        value = getattr(params, name)
+        if value is not None:
+            setattr(params, name, _count(value, name))
+
+
 def _explicit(value, default):
     """An explicitly set parameter, else its default (0 is explicit too)."""
     return default if value is None else value
@@ -130,23 +139,21 @@ class StatDiffParams:
     def __post_init__(self):
         if self.mode not in ("paper", "practical"):
             raise ValueError("mode must be 'paper' or 'practical'")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
+        _positive(self.epsilon, "epsilon")
         if not 0 < self.tau < 1:
             raise ValueError("tau must lie in (0, 1)")
-        if any(v is not None and v < 1 for v in (self.n, self.m_inner)):
-            raise ValueError("explicit n and m_inner must be positive")
+        _check_counts(self, "n", "m_inner")
 
     def sample_count(self) -> int:
         if self.n is not None:
-            return int(self.n)
+            return self.n
         if self.mode == "paper":
             return math.ceil(27.0 / (self.tau * self.epsilon**2))
         return PRACTICAL_STATDIFF_SAMPLES
 
     def inner_queries(self, domain_size: int) -> int:
         if self.m_inner is not None:
-            return int(self.m_inner)
+            return self.m_inner
         root = math.sqrt(domain_size)
         if self.mode == "paper":
             return math.ceil(DEFAULT_C * root / (self.epsilon**6 * self.tau**4))
@@ -172,11 +179,9 @@ def est_dist(
     element always has positive mixture mass, but the estimator can still
     return zero for a small positive mass, so the guard is reachable.)
     """
-    if op.n != oq.n:
-        raise ValueError("oracles must share a support size")
     ledgers = {"p": QueryLedger(), "q": QueryLedger()}
     n_samples = params.sample_count()
-    m_inner = params.inner_queries(op.n)
+    m_inner = params.inner_queries(_same_support(op, oq))
 
     from_q = rng.integers(0, 2, size=n_samples) == 1
     elements = np.empty(n_samples, dtype=np.int64)
@@ -223,10 +228,8 @@ class UniformityParams:
     def __post_init__(self):
         if self.mode not in ("paper", "practical"):
             raise ValueError("mode must be 'paper' or 'practical'")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
-        if any(v is not None and v < 1 for v in (self.m_samples, self.k_queries, self.l_repeats)):
-            raise ValueError("explicit m_samples, k_queries and l_repeats must be positive")
+        _positive(self.epsilon, "epsilon")
+        _check_counts(self, "m_samples", "k_queries", "l_repeats")
 
     @property
     def alpha(self) -> float:
@@ -281,7 +284,7 @@ def utest(
     ordered = np.sort(samples)
     if np.any(ordered[1:] == ordered[:-1]):
         return RoundRecord("reject", statistic=None, true_mass=None, collision=True)
-    pe = est_prob(o, samples, int(k), rng, ledger)
+    pe = est_prob(o, samples, k, rng, ledger)
     decision = "reject" if pe.estimate > threshold else "accept"
     return RoundRecord(decision, pe.estimate, pe.target_set_mass, collision=False)
 
@@ -300,7 +303,7 @@ def uniformity_test(
         )
     ledger = QueryLedger()
     return _any_round_rejects(
-        int(l), lambda: utest(o, params, rng, ledger), {"p": ledger}
+        l, lambda: utest(o, params, rng, ledger), {"p": ledger}
     )
 
 
@@ -336,12 +339,8 @@ class OrthogonalityParams:
     rounds: int = 8
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if any(v is not None and v < 1 for v in (self.m_samples, self.k_queries)):
-            raise ValueError("explicit m_samples and k_queries must be positive")
+        _positive(self.epsilon, "epsilon")
+        _check_counts(self, "m_samples", "k_queries", "rounds")
 
     def resolved(self, n: int) -> tuple[int, int, float]:
         default = math.ceil(n ** (1 / 3) / self.epsilon)
@@ -369,9 +368,7 @@ def otest(
     distributions are disjoint the mass is zero, the estimate is zero with
     certainty, and the round accepts.
     """
-    if op.n != oq.n:
-        raise ValueError("oracles must share a support size")
-    m, k, threshold = params.resolved(op.n)
+    m, k, threshold = params.resolved(_same_support(op, oq))
     samples = classical_samples(op, m, rng, ledger_p)
     qe = est_prob(oq, samples, k, rng, ledger_q)
     decision = "reject" if qe.estimate >= threshold else "accept"

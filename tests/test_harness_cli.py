@@ -366,12 +366,51 @@ def test_non_finite_values_are_named(argv, message, capsys):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def _parse_error(argv, capsys) -> str:
+    """stderr of an argv that argparse rejects (exit code 2)."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2, argv
+    return capsys.readouterr().err
+
+
+def test_cli_help_before_a_subcommand_is_the_top_level_help(capsys):
+    texts = []
+    for argv in (["--help"], ["-h", "estdist"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr())
+    assert texts[0] == texts[1]
+    assert "{estprob,estdist,uniformity," in texts[0].out
+
+
+def test_cli_unknown_flag_before_a_subcommand_is_the_only_one_reported(capsys):
+    err = _parse_error(["--bogus", "estdist", "--n", "5"], capsys)
+    assert err.startswith("usage: qdisttest [-h]")
+    assert err.endswith("\nqdisttest: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_cli_flag_errors_print_the_subcommand_usage(name, capsys):
+    exp = EXPERIMENTS[name]
+    seeded = ["--seed", "--trials"] if exp.trials else []
+    usage, prefix = f"usage: qdisttest {name} [-h]", f"qdisttest {name}: error: argument"
+    for flag in [*(f for f, _ in exp.flags), *seeded, "--out"]:
+        err = _parse_error([name, flag], capsys)
+        assert err.startswith(usage) and err.endswith(f"{prefix} {flag}: expected one argument\n")
+    for flag, kw in exp.flags:
+        if "choices" in kw:
+            err = _parse_error([name, flag, "nope"], capsys)
+            assert err.startswith(usage) and f"{prefix} {flag}: invalid choice: 'nope'" in err
+
+
 def test_non_finite_eps_names_epsilon(capsys):
     for command in ("uniformity", "orthogonality"):
         for eps in ("inf", "nan"):
             assert run_cli([command, "--eps", eps, "--trials", "2"]) == 2
             err = capsys.readouterr().err
-            assert err == "config error: epsilon must be positive and finite\n", (command, eps)
+            assert err == f"config error: epsilon must be positive and finite, got {eps}\n", (command, eps)
 
 
 LIMITED = """

@@ -187,14 +187,14 @@ def test_params_keep_explicit_values_and_reject_non_positive_counts():
         OrthogonalityParams(epsilon=1e-110, m_samples=1, k_queries=1).resolved(n)
     for field in ("m_samples", "k_queries", "l_repeats"):
         for value in (0, -3):
-            with pytest.raises(ValueError, match="must be positive"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
                 UniformityParams(epsilon=0.5, mode="paper", **{field: value})
     for field in ("m_samples", "k_queries"):
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
             OrthogonalityParams(epsilon=0.5, **{field: 0})
     assert StatDiffParams(n=1, m_inner=1).sample_count() == 1
     for field in ("n", "m_inner"):
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
             StatDiffParams(**{field: 0})
 
 
