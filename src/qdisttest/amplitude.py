@@ -198,8 +198,7 @@ def _target_mass(o: OracleTable, target) -> float:
         target = list(target)
     if len(target) == 1:  # one element: its count, without the sort
         i = target[0]
-        if not (isinstance(i, (int, np.integer)) and 0 <= i < o.n):
-            raise ValueError("target elements must be integers that lie in [0, n)")
+        _elements(i, o.n)
         return int(dist.counts_at(i)) / dist.denominator
     idx = np.sort(target)
     _elements(idx, o.n, ordered=True)

@@ -58,7 +58,7 @@ def _pair(default):
 
 
 EPS = _flag("--eps", type=float, default=0.5)
-MODE = _flag("--mode", choices=["paper", "practical"], default="practical")
+MODE = _flag("--mode", choices=testers.MODES, default="practical")
 INSTANCE = _flag("--instance", choices=list(harness.INSTANCES), default="uniform")
 SAMPLES = _count("--samples")
 K = _count("--k")
@@ -222,8 +222,10 @@ def _baseline_orthogonality(args):
 
 
 def _scaling(args):
+    # An integer-valued token (1e9) is that count; run_scaling refuses any other (100.9).
+    n_values = [float(tok) for tok in args.n_values.split(",")]
     result = harness.run_scaling(
-        args.tester, [int(float(tok)) for tok in args.n_values.split(",")], args.eps,
+        args.tester, [int(x) if x.is_integer() else x for x in n_values], args.eps,
         trials=args.trials, seed=args.seed, target_error=args.target_error,
     )
     columns = ["n", "constant", "mean_queries", "error_rate", "saturated", "included_in_fit"]

@@ -91,11 +91,16 @@ def _same_support(*oracles) -> int:
     return oracles[0].n
 
 
-def _elements(idx: np.ndarray, n: int, ordered: bool = False) -> None:
-    """``ValueError`` unless the array ``idx`` holds integers that lie in
-    [0, n); a sorted (``ordered``) array is read at its two ends only."""
-    if idx.size and (idx.dtype.kind not in "iu" or (idx[0] if ordered else idx.min()) < 0
-                     or (idx[-1] if ordered else idx.max()) >= n):
+def _elements(idx, n: int, ordered: bool = False) -> None:
+    """``ValueError`` unless ``idx``, one element or an array of them, holds
+    integers (not bools) that lie in [0, n); a sorted (``ordered``) array is
+    read at its two ends only."""
+    if isinstance(idx, np.ndarray):
+        ok = not idx.size or (idx.dtype.kind in "iu" and (idx[0] if ordered else idx.min()) >= 0
+                              and (idx[-1] if ordered else idx.max()) < n)
+    else:
+        ok = (type(idx) is int or isinstance(idx, np.integer)) and 0 <= idx < n
+    if not ok:
         raise ValueError("target elements must be integers that lie in [0, n)")
 
 
@@ -348,6 +353,7 @@ def classical_samples(
     o: OracleTable, size: int, rng: np.random.Generator, ledger: QueryLedger | None = None
 ) -> np.ndarray:
     """Vectorized batch of independent classical samples (``size`` queries)."""
+    size = _count(size, "size", 0)
     idx = rng.integers(0, o.s, size=size)
     if ledger is not None:
         ledger.add_classical(size)

@@ -200,8 +200,7 @@ def _statdiff_cases(n, eps):
 
 
 def _uniformity_params(constant, n, eps):
-    # constant * n ** (1 / 3) / ... would round differently from this grouping
-    k = math.ceil(constant * (n ** (1 / 3) / eps ** (4 / 3)))
+    k = math.ceil(constant * testers._uniformity_base(n, eps))
     return testers.UniformityParams(epsilon=eps, k_queries=k)
 
 

@@ -51,6 +51,8 @@ __all__ = [
     "sampled_mass",
 ]
 
+MODES = ("paper", "practical")  # the parameter modes (see module docstring)
+
 # Practical-mode defaults (see module docstring).
 PRACTICAL_STATDIFF_SAMPLES = 100
 PRACTICAL_STATDIFF_QUERY_MULT = 200.0
@@ -98,6 +100,17 @@ def _check_counts(params, *names) -> None:
             setattr(params, name, _count(value, name))
 
 
+def _check_mode(mode) -> None:
+    """``ValueError`` unless ``mode`` is one of :data:`MODES`."""
+    if mode not in MODES:
+        raise ValueError("mode must be " + " or ".join(map(repr, MODES)))
+
+
+def _uniformity_base(n: int, eps: float) -> float:
+    """``N^(1/3) / eps^(4/3)``, the base that the uniformity budgets scale."""
+    return n ** (1 / 3) / eps ** (4 / 3)
+
+
 def _explicit(value, default):
     """An explicitly set parameter, else its default (0 is explicit too)."""
     return default if value is None else value
@@ -137,8 +150,7 @@ class StatDiffParams:
     m_inner: int | None = None
 
     def __post_init__(self):
-        if self.mode not in ("paper", "practical"):
-            raise ValueError("mode must be 'paper' or 'practical'")
+        _check_mode(self.mode)
         _positive(self.epsilon, "epsilon")
         if not 0 < self.tau < 1:
             raise ValueError("tau must lie in (0, 1)")
@@ -226,8 +238,7 @@ class UniformityParams:
     l_repeats: int | None = None
 
     def __post_init__(self):
-        if self.mode not in ("paper", "practical"):
-            raise ValueError("mode must be 'paper' or 'practical'")
+        _check_mode(self.mode)
         _positive(self.epsilon, "epsilon")
         _check_counts(self, "m_samples", "k_queries", "l_repeats")
 
@@ -242,7 +253,7 @@ class UniformityParams:
         overflows.
         """
         eps = self.epsilon
-        base = n ** (1 / 3) / eps ** (4 / 3)
+        base = _uniformity_base(n, eps)
         if self.mode == "paper":
             try:
                 blowup = math.exp(self.alpha)

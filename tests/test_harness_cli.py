@@ -221,6 +221,21 @@ def test_cli_scaling_outputs_slope(tmp_path):
     assert 0.13 <= slope <= 0.53  # ten trials only; the acceptance suite tightens this
 
 
+def test_cli_scaling_n_values_are_counts(tmp_path, capsys):
+    # An integer-valued token is that count; any other exits 2, not truncated.
+    argv = ["scaling", "--tester", "uniformity-classical", "--trials", "1", "--seed", "1"]
+    assert run_cli([*argv, "--n-values", "100.9,1000,10000,100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: n must be an integer >= 1, got 100.9\n"
+    assert captured.out == ""
+    written = []
+    for i, n_values in enumerate(["1e3,1e4,1e5,1e6", "1000,10000,100000,1000000"]):
+        out = tmp_path / f"{i}.csv"
+        assert run_cli([*argv, "--n-values", n_values, "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_cli_spec_file_and_override(tmp_path):
     spec = tmp_path / "run.spec"
     spec.write_text("n=1000\ntrials=5\nseed=11\n")

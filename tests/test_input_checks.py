@@ -2,7 +2,8 @@
 
 A count is a Python or numpy integer that is not a bool: a float or ``True``
 raises ``ValueError`` naming the argument, and a numpy integer scalar gives
-the same result as the Python int of the same value.
+the same result as the Python int of the same value.  A target element
+follows the same rule and must lie in [0, n).
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from qdisttest.distributions import (
     OracleTable,
     QueryLedger,
     biased_pair,
+    classical_samples,
     disjoint_pair,
     half_support,
     make_oracle,
@@ -33,6 +35,7 @@ from qdisttest.testers import (
     UniformityParams,
     est_dist,
     orthogonality_test,
+    sampled_mass,
     uniformity_test,
 )
 
@@ -74,6 +77,12 @@ RNG = np.random.default_rng(0)
     (lambda: run_scaling("uniformity", [1000.5, 10**4, 10**5, 10**6], 0.5, 1, 0),
      "n must be an integer >= 1, got 1000.5"),
     (lambda: calibrate_constant(100.5, RNG), "trials_per_cell must be an integer >= 1, got 100.5"),
+    (lambda: est_prob(ORACLE, (True,), 50, RNG),
+     "target elements must be integers that lie in [0, n)"),
+    (lambda: classical_samples(ORACLE, 10.5, RNG), "size must be an integer >= 0, got 10.5"),
+    (lambda: classical_samples(ORACLE, -1, RNG), "size must be an integer >= 0, got -1"),
+    (lambda: sampled_mass(ORACLE, 10.5, RNG), "size must be an integer >= 0, got 10.5"),
+    (lambda: sampled_mass(ORACLE, -1, RNG), "size must be an integer >= 0, got -1"),
 ], ids=[
     "est_prob-float", "est_prob-bool", "est_probs-float", "ae_outcome_pmf-float",
     "collision-float", "plugin-float", "cross-collision-float", "denominator-float",
@@ -81,7 +90,9 @@ RNG = np.random.default_rng(0)
     "biased_pair-float", "disjoint_pair-float", "overlapping_pair-float", "statdiff-n-float",
     "uniformity-k-float", "orthogonality-m-float", "orthogonality-rounds-float",
     "corollary-n-float", "corollary-a-float", "fingerprint-trials-float", "ledger-float",
-    "ledger-bool", "scaling-n-float", "calibrate-trials-float",
+    "ledger-bool", "scaling-n-float", "calibrate-trials-float", "est_prob-one-element-bool",
+    "classical_samples-float", "classical_samples-negative", "sampled_mass-float",
+    "sampled_mass-negative",
 ])
 def test_counts_are_not_truncated(build, message):
     with pytest.raises(ValueError) as exc:

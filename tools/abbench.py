@@ -15,7 +15,8 @@ package imports only relatively, so the copies share no module.
 - **Equality.** One sha256 per tree over every golden CLI case of
   ``tests/test_cli_golden.py`` (exit code, stdout, stderr, written files and
   warnings, with ``{tmp}`` filled in as that test does), then seeded
-  ``est_prob``, ``est_probs`` and ``classical_samples`` draws on 1- to
+  ``est_prob`` (one-element targets as Python, int64 and uint32 integers,
+  and sets), ``est_probs`` and ``classical_samples`` draws on 1- to
   1,000-block oracles, with the ledgers and the generator state afterwards.
   The cases are those of the checkout that holds this tool.
 
@@ -128,7 +129,8 @@ def _draws(tree: dict) -> list:
     out = []
     for o in oracles:
         for m in (1, 2, 7, M, 10**6, 2**40):
-            for target in ((0,), (o.n - 1,), np.arange(min(64, o.n)), [1, 1, 2], []):
+            for target in ((0,), (o.n - 1,), (np.int64(o.n - 1),), (np.uint32(1),),
+                           np.arange(min(64, o.n)), [1, 1, 2], []):
                 e = a.est_prob(o, target, m, rng, ledger)
                 out.append([e.estimate, e.raw_outcome, e.m, e.target_set_mass])
     for m in (3, M, 2**40):
@@ -159,8 +161,9 @@ def equality(trees: dict[str, dict]) -> dict:
     return {
         "script": "tools/abbench.py",
         "covers": "every golden CLI case of tests/test_cli_golden.py (exit code, stdout, "
-                  "stderr, files, warnings), seeded est_prob / est_probs draws on four oracles "
-                  "at m from 1 to 2**40, classical_samples on 1- to 1,000-block oracles, the "
+                  "stderr, files, warnings), seeded est_prob draws (one-element targets as "
+                  "Python, int64 and uint32 integers, and sets) and est_probs draws on four "
+                  "oracles at m from 1 to 2**40, classical_samples on 1- to 1,000-block oracles, the "
                   "ledgers and the final generator state",
         "sha256": digests,
         "result": "identical" if len(set(digests.values())) == 1 else "different",
