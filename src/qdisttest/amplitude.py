@@ -135,8 +135,8 @@ def unitary_reference_pmf(o: OracleTable, target, m: int) -> np.ndarray:
         raise ValueError(f"oracle size {o.s} exceeds dense-simulation cap {DENSE_S_CAP}")
     if m > DENSE_M_CAP:
         raise ValueError(f"m={m} exceeds dense-simulation cap {DENSE_M_CAP}")
-    target = np.asarray(list(target) if not isinstance(target, np.ndarray) else target,
-                        dtype=np.int64)
+    target = np.asarray(target if isinstance(target, np.ndarray) else list(target))
+    _elements(target, o.n)
     s = o.s
     good = np.isin(o.table, target)
     psi = np.full(s, 1.0 / math.sqrt(s))
@@ -196,7 +196,7 @@ def _target_mass(o: OracleTable, target) -> float:
     dist = o.distribution()
     if not isinstance(target, np.ndarray):
         target = list(target)
-    if len(target) == 1:  # one element: its count, without the sort
+    if len(target) == 1 and not isinstance(target[0], np.ndarray):  # one element: no sort
         i = target[0]
         _elements(i, o.n)
         return int(dist.counts_at(i)) / dist.denominator

@@ -68,18 +68,11 @@ def classical_statdiff_plugin(
     """
     n = _same_support(op, oq)
     m = _count(m, "m")
-    if 16 * m >= n:  # many draws: histograms over all n cells
-        # p's draws are counted before q's are drawn: one draw array at a time.
-        diff = np.bincount(classical_samples(op, m, rng, ledger_p), minlength=n)
-        diff -= np.bincount(classical_samples(oq, m, rng, ledger_q), minlength=n)
-        np.abs(diff, out=diff)
-        # Integer counts keep the sum exact; one division rounds once.
-        return int(diff.sum()) / (2 * m)
-    # Few draws: sort the keys 2 * v + side (0 for p, 1 for q) once, in the
-    # narrowest type that holds 2n - 1.  sum |#p - #q| = 2m - 2 * (sum of
-    # min(#p, #q)), and only the values v drawn on both sides add to the sum
-    # of minima: those where a key 2v is followed by 2v + 1, its neighbour in
-    # all but the lowest bit.
+    # Sort the keys 2 * v + side (0 for p, 1 for q) once, in the narrowest
+    # type that holds 2n - 1.  sum |#p - #q| = 2m - 2 * (sum of min(#p, #q)),
+    # and only the values v drawn on both sides add to the sum of minima:
+    # those where a key 2v is followed by 2v + 1, its neighbour in all but
+    # the lowest bit.
     keys = np.empty(2 * m, np.min_scalar_type(2 * n - 1))
     keys[:m] = classical_samples(op, m, rng, ledger_p)
     keys[m:] = classical_samples(oq, m, rng, ledger_q)

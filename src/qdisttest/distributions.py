@@ -92,12 +92,12 @@ def _same_support(*oracles) -> int:
 
 
 def _elements(idx, n: int, ordered: bool = False) -> None:
-    """``ValueError`` unless ``idx``, one element or an array of them, holds
+    """``ValueError`` unless ``idx``, one element or a 1-d array of them, holds
     integers (not bools) that lie in [0, n); a sorted (``ordered``) array is
     read at its two ends only."""
     if isinstance(idx, np.ndarray):
-        ok = not idx.size or (idx.dtype.kind in "iu" and (idx[0] if ordered else idx.min()) >= 0
-                              and (idx[-1] if ordered else idx.max()) < n)
+        ok = idx.ndim == 1 and (not idx.size or idx.dtype.kind in "iu" and (
+            (idx[0] if ordered else idx.min()) >= 0 and (idx[-1] if ordered else idx.max()) < n))
     else:
         ok = (type(idx) is int or isinstance(idx, np.integer)) and 0 <= idx < n
     if not ok:
@@ -343,10 +343,7 @@ def distribution_of(o: OracleTable) -> Distribution:
 
 def classical_sample(o: OracleTable, rng: np.random.Generator, ledger: QueryLedger | None = None) -> int:
     """Query the table at a uniformly random input; one classical query."""
-    value = int(o.element_at(rng.integers(0, o.s)))
-    if ledger is not None:
-        ledger.add_classical(1)
-    return value
+    return int(classical_samples(o, 1, rng, ledger)[0])
 
 
 def classical_samples(
@@ -458,14 +455,19 @@ def overlapping_pair(n: int, eps) -> tuple[Distribution, Distribution]:
     return p, q
 
 
+def _kind(kind: str) -> str:
+    """``kind`` itself; ``ValueError`` unless it is one token (non-empty, no whitespace)."""
+    if not kind or any(ch.isspace() for ch in kind):
+        raise ValueError(f"kind must be a single token, got {kind!r}")
+    return kind
+
+
 def save_oracle(o: OracleTable, path, kind: str | None = None) -> None:
     """Write the plain-text instance format: optional ``kind`` line, then
     ``n s`` header, then the ``s`` zero-based table entries, one per line."""
     lines = []
     if kind is not None:
-        if any(ch.isspace() for ch in kind):
-            raise ValueError("kind must be a single token")
-        lines.append(f"kind {kind}")
+        lines.append(f"kind {_kind(kind)}")
     lines.append(f"{o.n} {o.s}")
     lines.extend(str(int(v)) for v in o.table)
     with open(path, "w", newline="\n") as fh:
@@ -479,14 +481,13 @@ def load_oracle(path) -> tuple[OracleTable, str | None]:
     tokens = [t for t in tokens if t.strip()]
     kind = None
     if tokens and tokens[0].startswith("kind "):
-        kind = tokens[0].split(maxsplit=1)[1]
-        tokens = tokens[1:]
+        kind = _kind(tokens.pop(0)[len("kind "):].strip())
     if not tokens:
         raise ValueError("empty instance file")
     head = tokens[0].split()
     if len(head) != 2:
         raise ValueError("header must be two integers: n s")
-    n, s = int(head[0]), int(head[1])
+    n, s = int(head[0]), _count(int(head[1]), "s")
     entries = [int(t) for t in tokens[1:]]
     if len(entries) != s:
         raise ValueError(f"expected {s} table entries, found {len(entries)}")

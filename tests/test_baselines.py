@@ -152,8 +152,8 @@ def test_plugin_disjoint_is_exactly_one():
 
 
 def test_plugin_equals_a_dense_recount_of_its_draws():
-    # 16 * m < n switches to histograms over the values seen; m = 100 is the
-    # first dense budget at n = 1600.
+    # The reference counts the same draws in histograms over all n cells; the
+    # budgets run from 1 to above n.
     n = 1600
     p, q = overlapping_pair(n, 1)
     op, oq = make_oracle(p, p.denominator), make_oracle(q, q.denominator)
@@ -185,13 +185,11 @@ def _unique_recount(sp, sq):
     (100, np.uint8, (1, 6, 7, 50)),
     (20_000, np.uint16, (1, 300, 1249, 1250)),
     (10**6, np.uint32, (3, 62_499, 62_500)),
-    # 16 * m >= n would need n-length histograms: only the sparse side here
     (2**31 + 1, np.uint64, (1, 1000, 50_000)),
 ])
 def test_plugin_equals_a_unique_recount_of_its_draws(n, key_type, budgets):
-    # The sparse path sorts the keys 2 * v + side in the narrowest type that
-    # holds 2n - 1; each n here takes another type, and m = n // 16 + 1 is the
-    # first dense budget.
+    # The plug-in sorts the keys 2 * v + side in the narrowest type that
+    # holds 2n - 1; each n here takes another type.
     assert np.min_scalar_type(2 * n - 1) == key_type
     p, q = _atoms(n, n, n // 2, 0), _atoms(n, n // 2, 0, n)
     op, oq = make_oracle(p, p.denominator), make_oracle(q, q.denominator)

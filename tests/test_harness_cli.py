@@ -255,7 +255,7 @@ def test_cli_spec_file_unknown_key(tmp_path):
     assert exc.value.code == 2
 
 
-def test_cli_config_error_codes(tmp_path):
+def test_cli_config_error_codes(tmp_path, capsys):
     # unknown flag: argparse exits 2
     with pytest.raises(SystemExit) as exc:
         run_cli(["uniformity", "--bogus"])
@@ -264,6 +264,14 @@ def test_cli_config_error_codes(tmp_path):
     assert run_cli(["uniformity", "--spec", str(tmp_path / "missing.spec")]) == 2
     # infeasible instance parameters: config error return
     assert run_cli(["uniformity", "--n", "999", "--instance", "biased"]) == 2
+    # malformed instance files: an empty or two-token kind, a negative table size
+    capsys.readouterr()
+    for text in ("kind \n2 2\n0\n1\n", "kind a b\n2 2\n0\n1\n", "4 -1\n"):
+        inst = tmp_path / "bad-instance.txt"
+        inst.write_text(text)
+        assert run_cli(["uniformity", "--instance-file", str(inst), "--trials", "1"]) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
 def test_cli_runtime_error_code():

@@ -2,14 +2,21 @@
 
 A count is a Python or numpy integer that is not a bool: a float or ``True``
 raises ``ValueError`` naming the argument, and a numpy integer scalar gives
-the same result as the Python int of the same value.  A target element
-follows the same rule and must lie in [0, n).
+the same result as the Python int of the same value.  A target is one
+element or a flat vector of them; each element follows the same rule and
+must lie in [0, n).
 """
 
 import numpy as np
 import pytest
 
-from qdisttest.amplitude import ae_outcome_pmf, calibrate_constant, est_prob, est_probs
+from qdisttest.amplitude import (
+    ae_outcome_pmf,
+    calibrate_constant,
+    est_prob,
+    est_probs,
+    unitary_reference_pmf,
+)
 from qdisttest.baselines import (
     classical_orthogonality_test,
     classical_statdiff_plugin,
@@ -20,6 +27,7 @@ from qdisttest.distributions import (
     OracleTable,
     QueryLedger,
     biased_pair,
+    classical_sample,
     classical_samples,
     disjoint_pair,
     half_support,
@@ -41,6 +49,7 @@ from qdisttest.testers import (
 
 ORACLE = make_oracle(Distribution([1, 2, 3, 4], 10), 10)
 RNG = np.random.default_rng(0)
+TARGET = "target elements must be integers that lie in [0, n)"
 
 
 @pytest.mark.parametrize("build, message", [
@@ -77,8 +86,15 @@ RNG = np.random.default_rng(0)
     (lambda: run_scaling("uniformity", [1000.5, 10**4, 10**5, 10**6], 0.5, 1, 0),
      "n must be an integer >= 1, got 1000.5"),
     (lambda: calibrate_constant(100.5, RNG), "trials_per_cell must be an integer >= 1, got 100.5"),
-    (lambda: est_prob(ORACLE, (True,), 50, RNG),
-     "target elements must be integers that lie in [0, n)"),
+    (lambda: est_prob(ORACLE, (True,), 50, RNG), TARGET),
+    (lambda: est_prob(ORACLE, ([1], [2]), 50, RNG), TARGET),
+    (lambda: est_prob(ORACLE, np.array([[1], [2]]), 50, RNG), TARGET),
+    (lambda: est_prob(ORACLE, (np.array([1]),), 50, RNG), TARGET),
+    (lambda: est_prob(ORACLE, np.array([[1]]), 50, RNG), TARGET),
+    (lambda: est_probs((ORACLE,), [[1], [2]], 5, RNG), TARGET),
+    (lambda: unitary_reference_pmf(ORACLE, [1.5], 8), TARGET),
+    (lambda: unitary_reference_pmf(ORACLE, [-1], 8), TARGET),
+    (lambda: unitary_reference_pmf(ORACLE, [[1], [2]], 8), TARGET),
     (lambda: classical_samples(ORACLE, 10.5, RNG), "size must be an integer >= 0, got 10.5"),
     (lambda: classical_samples(ORACLE, -1, RNG), "size must be an integer >= 0, got -1"),
     (lambda: sampled_mass(ORACLE, 10.5, RNG), "size must be an integer >= 0, got 10.5"),
@@ -91,6 +107,9 @@ RNG = np.random.default_rng(0)
     "uniformity-k-float", "orthogonality-m-float", "orthogonality-rounds-float",
     "corollary-n-float", "corollary-a-float", "fingerprint-trials-float", "ledger-float",
     "ledger-bool", "scaling-n-float", "calibrate-trials-float", "est_prob-one-element-bool",
+    "est_prob-nested-pair", "est_prob-2d-pair", "est_prob-nested-one-element",
+    "est_prob-2d-one-element", "est_probs-nested", "reference-float", "reference-negative",
+    "reference-nested",
     "classical_samples-float", "classical_samples-negative", "sampled_mass-float",
     "sampled_mass-negative",
 ])
@@ -142,3 +161,20 @@ def _runs(cast):
 @pytest.mark.parametrize("cast", [np.int64, np.uint32])
 def test_numpy_integer_counts_give_python_int_results(cast):
     assert _runs(cast) == _runs(int)
+
+
+@pytest.mark.parametrize("oracle", [
+    OracleTable(np.arange(7) % 3, 3),
+    make_oracle(Distribution.from_blocks([0, 2], [3 * 2**37, 2**37], 4, 2**40), 2**40),
+], ids=["table-s7", "element-order-s2**40"])
+def test_one_classical_sample_is_a_batch_of_one(oracle):
+    """``classical_sample`` is ``classical_samples(o, 1, ...)``: the same values,
+    ledger and generator state."""
+    runs = []
+    for draw in (lambda rng, ledger: classical_sample(oracle, rng, ledger),
+                 lambda rng, ledger: int(classical_samples(oracle, 1, rng, ledger)[0])):
+        rng, ledger = np.random.default_rng(5), QueryLedger()
+        values = [draw(rng, ledger) for _ in range(200)]
+        runs.append((values, ledger, rng.bit_generator.state))
+    assert runs[0] == runs[1]
+    assert all(type(v) is int for v in runs[0][0])

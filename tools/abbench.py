@@ -17,7 +17,9 @@ package imports only relatively, so the copies share no module.
   warnings, with ``{tmp}`` filled in as that test does), then seeded
   ``est_prob`` (one-element targets as Python, int64 and uint32 integers,
   and sets), ``est_probs`` and ``classical_samples`` draws on 1- to
-  1,000-block oracles, with the ledgers and the generator state afterwards.
+  1,000-block oracles, ``classical_sample`` draws, and plug-in distances at
+  n = 1,600 and m from 99 to 5,000, with the ledgers and the generator state
+  afterwards.
   The cases are those of the checkout that holds this tool.
 
 It prints the ``in_process`` and ``equality`` objects of the
@@ -58,7 +60,7 @@ def load_tree(checkout: Path, name: str) -> dict:
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return {sub: importlib.import_module(f"{name}.{sub}")
-            for sub in ("amplitude", "cli", "distributions")}
+            for sub in ("amplitude", "baselines", "cli", "distributions")}
 
 
 def _block(tree: dict, target, calls: int) -> float:
@@ -147,6 +149,12 @@ def _draws(tree: dict) -> list:
         den = int((levels * np.diff(starts, append=n)).sum())
         o = d.make_oracle(d.Distribution.from_blocks(starts, levels, n, den), den)
         out.append(d.classical_samples(o, 500, rng, ledger).tolist())
+    out.append([d.classical_sample(o, rng, ledger) for o in oracles for _ in range(50)])
+    p, q = d.overlapping_pair(1600, 0.5)
+    op, oq = d.make_oracle(p, p.denominator), d.make_oracle(q, q.denominator)
+    for m in (99, 100, 101, 5000):  # m on both sides of n / 16 = 100, and above n
+        out.append([tree["baselines"].classical_statdiff_plugin(x, y, m, rng, ledger)
+                    for x, y in ((op, oq), (oq, op), (op, op))])
     out.append([ledger.classical_samples, ledger.quantum_applications])
     out.append(rng.bit_generator.state)
     return out
@@ -163,8 +171,9 @@ def equality(trees: dict[str, dict]) -> dict:
         "covers": "every golden CLI case of tests/test_cli_golden.py (exit code, stdout, "
                   "stderr, files, warnings), seeded est_prob draws (one-element targets as "
                   "Python, int64 and uint32 integers, and sets) and est_probs draws on four "
-                  "oracles at m from 1 to 2**40, classical_samples on 1- to 1,000-block oracles, the "
-                  "ledgers and the final generator state",
+                  "oracles at m from 1 to 2**40, classical_samples on 1- to 1,000-block oracles, "
+                  "classical_sample draws, classical_statdiff_plugin at n = 1,600 and m in "
+                  "{99, 100, 101, 5000}, the ledgers and the final generator state",
         "sha256": digests,
         "result": "identical" if len(set(digests.values())) == 1 else "different",
     }
