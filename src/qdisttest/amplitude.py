@@ -165,7 +165,6 @@ class ProbEstimate:
 
     estimate: float
     raw_outcome: int
-    m: int
     target_set_mass: float
 
 
@@ -286,7 +285,6 @@ def est_prob(
     return ProbEstimate(
         estimate=math.sin(math.pi * y / m) ** 2,
         raw_outcome=y,
-        m=m,
         target_set_mass=a,
     )
 

@@ -213,7 +213,7 @@ def _baseline_statdiff(args):
 
 def _baseline_orthogonality(args):
     rng, op, oq, distance = _pair_instance(args)
-    m = args.samples or max(1, math.ceil(4.0 * math.sqrt(args.n)))
+    m = args.samples or math.ceil(4.0 * math.sqrt(args.n))
     columns, rows, note = _decisions(
         args, "reject", baselines.classical_orthogonality_test, (op, oq), (m,), rng
     )

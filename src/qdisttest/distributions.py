@@ -117,15 +117,11 @@ class QueryLedger:
     classical_samples: int = 0
     quantum_applications: int = 0
 
-    def add_classical(self, k: int = 1) -> None:
+    def add_classical(self, k: int) -> None:
         self.classical_samples += _count(k, "ledger increment", 0)
 
-    def add_quantum(self, k: int = 1) -> None:
+    def add_quantum(self, k: int) -> None:
         self.quantum_applications += _count(k, "ledger increment", 0)
-
-    @property
-    def total(self) -> int:
-        return self.classical_samples + self.quantum_applications
 
 
 class Distribution:

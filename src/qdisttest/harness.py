@@ -103,14 +103,19 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(count)]
 
 
+def _check_fit_points(ns, error=ValueError) -> None:
+    """``error`` unless a scaling fit's sizes ``ns`` are 4 or more spanning two decades."""
+    if len(ns) < 4:
+        raise error("need at least 4 points for a scaling fit")
+    if max(ns) / min(ns) < 100:
+        raise error("scaling points must span at least two decades")
+
+
 def fit_loglog(ns, queries) -> tuple[float, float]:
     """Least-squares slope of log(queries) against log(n), with standard error."""
     ns = np.asarray(ns, dtype=float)
     queries = np.asarray(queries, dtype=float)
-    if ns.size < 4:
-        raise ValueError("need at least 4 points for a scaling fit")
-    if ns.max() / ns.min() < 100:
-        raise ValueError("scaling points must span at least two decades")
+    _check_fit_points(ns)
     x = np.log(ns)
     y = np.log(queries)
     xbar = x.mean()
@@ -134,7 +139,6 @@ class ScalingRow:
 
 @dataclass
 class ScalingResult:
-    tester: str
     rows: list[ScalingRow]
     slope: float
     slope_stderr: float
@@ -158,7 +162,9 @@ def make_instance_pair(name: str, n: int, eps) -> tuple[OracleTable, OracleTable
 
 def collision_samples(constant: float, n: int, eps: float) -> int:
     """The collision tester's sample count, ``max(2, ceil(constant * sqrt(n) / eps^2))``."""
-    return max(2, math.ceil(constant * math.sqrt(n) / eps**2))
+    m = max(2, testers._rounded(testers._over(constant * math.sqrt(n), eps**2)))
+    testers._runnable(m, "sample", "set the sample count")
+    return m
 
 
 def run_trial(test, oracles, budget, rng) -> tuple:
@@ -241,9 +247,11 @@ def run_scaling(
     Raises
     ------
     ValueError
-        If the tester is unknown or ``target_error`` is not in [0, 1).
+        If the tester is unknown, ``target_error`` is not in [0, 1), or the
+        ``n_values`` break the fit's rule (checked before any trial).
     RuntimeError
-        If no sweep value meets the target at some ``n``.
+        If no sweep value meets the target at some ``n``, or the fit's rule
+        breaks once the saturated smallest ``n`` is excluded.
     """
     if tester not in _SCALING_TESTERS:
         raise ValueError(f"unknown scaling tester {tester!r}")
@@ -251,6 +259,7 @@ def run_scaling(
         raise ValueError("target error must lie in [0, 1)")
     cases_at, test, budget_at, sweep = _SCALING_TESTERS[tester]
     n_values = [_count(n, "n") for n in n_values]
+    _check_fit_points(n_values)
     smallest = min(n_values)
 
     # Cell (i, j) has its own stream, so the cells tried at one n leave the
@@ -280,5 +289,6 @@ def run_scaling(
             raise RuntimeError(f"calibration failed at n={n}: no sweep value met the target")
 
     fit_rows = [r for r in rows if r.included_in_fit]
+    _check_fit_points([r.n for r in fit_rows], RuntimeError)
     slope, stderr = fit_loglog([r.n for r in fit_rows], [r.mean_queries for r in fit_rows])
-    return ScalingResult(tester=tester, rows=rows, slope=slope, slope_stderr=stderr)
+    return ScalingResult(rows=rows, slope=slope, slope_stderr=stderr)

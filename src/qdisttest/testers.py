@@ -23,6 +23,7 @@ thresholds and the estimation constant cannot.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,8 @@ PRACTICAL_UNIFORMITY_SAMPLE_MULT = 0.25
 PRACTICAL_UNIFORMITY_QUERY_MULT = 300.0
 PRACTICAL_UNIFORMITY_REPEATS = 1
 PRACTICAL_UNIFORMITY_THRESHOLD_BUMP = 0.25  # threshold factor 1 + bump*eps^2
+
+_MAX_EXP = math.log(sys.float_info.max)  # the largest x whose exp(x) is finite
 
 
 @dataclass
@@ -106,14 +109,25 @@ def _check_mode(mode) -> None:
         raise ValueError("mode must be " + " or ".join(map(repr, MODES)))
 
 
+def _over(numer: float, denom: float) -> float:
+    """``numer / denom`` for a power ``denom`` of eps or tau: ``inf`` once it underflowed to 0."""
+    return numer / denom if denom else math.inf
+
+
+def _rounded(value: float) -> int | float:
+    """The count a formula's ``value`` rounds up to: ``inf`` unless the value is finite."""
+    return math.ceil(value) if math.isfinite(value) else math.inf
+
+
+def _runnable(count, name: str, fix: str, limit: float = math.inf) -> None:
+    """``RuntimeError`` unless a resolved ``count`` is finite and at most ``limit``."""
+    if not (math.isfinite(count) and count <= limit):
+        raise RuntimeError(f"{name} count {count} is not runnable; {fix}")
+
+
 def _uniformity_base(n: int, eps: float) -> float:
     """``N^(1/3) / eps^(4/3)``, the base that the uniformity budgets scale."""
-    return n ** (1 / 3) / eps ** (4 / 3)
-
-
-def _explicit(value, default):
-    """An explicitly set parameter, else its default (0 is explicit too)."""
-    return default if value is None else value
+    return _over(n ** (1 / 3), eps ** (4 / 3))
 
 
 def _any_round_rejects(count: int, run_round, ledgers) -> TestVerdict:
@@ -138,9 +152,10 @@ class StatDiffParams:
 
     ``epsilon`` is the additive precision target for the halved distance and
     ``tau`` the failure probability.  Paper mode sets the sample count to
-    ``27 / (tau * eps^2)`` and the inner query count to
-    ``c * sqrt(N) / (eps^6 * tau^4)`` with ``c = DEFAULT_C``; practical mode
-    uses the module defaults unless ``n`` / ``m_inner`` are given explicitly.
+    ``ceil(27 / (tau * eps^2))`` and the inner query count to
+    ``ceil(c * sqrt(N) / (eps^6 * tau^4))`` with ``c = DEFAULT_C``; practical
+    mode uses the module defaults.  An explicit ``n`` / ``m_inner`` wins, and
+    its formula is not evaluated.
     """
 
     epsilon: float = 0.1
@@ -156,20 +171,15 @@ class StatDiffParams:
             raise ValueError("tau must lie in (0, 1)")
         _check_counts(self, "n", "m_inner")
 
-    def sample_count(self) -> int:
-        if self.n is not None:
-            return self.n
-        if self.mode == "paper":
-            return math.ceil(27.0 / (self.tau * self.epsilon**2))
-        return PRACTICAL_STATDIFF_SAMPLES
-
-    def inner_queries(self, domain_size: int) -> int:
-        if self.m_inner is not None:
-            return self.m_inner
-        root = math.sqrt(domain_size)
-        if self.mode == "paper":
-            return math.ceil(DEFAULT_C * root / (self.epsilon**6 * self.tau**4))
-        return math.ceil(PRACTICAL_STATDIFF_QUERY_MULT * root)
+    def resolved(self, n: int) -> tuple[int | float, int | float]:
+        """Return ``(samples, m_inner)`` for support size ``n``; a default count may be ``inf``."""
+        root = math.sqrt(n)
+        if self.mode == "practical":
+            return (self.n or PRACTICAL_STATDIFF_SAMPLES,
+                    self.m_inner or _rounded(PRACTICAL_STATDIFF_QUERY_MULT * root))
+        eps, tau = self.epsilon, self.tau
+        return (self.n or _rounded(_over(27.0, tau * eps**2)),
+                self.m_inner or _rounded(_over(DEFAULT_C * root, eps**6 * tau**4)))
 
 
 def est_dist(
@@ -191,9 +201,10 @@ def est_dist(
     element always has positive mixture mass, but the estimator can still
     return zero for a small positive mass, so the guard is reachable.)
     """
+    n_samples, m_inner = params.resolved(_same_support(op, oq))
+    _runnable(n_samples, "sample", "use practical mode or set n")
+    _runnable(m_inner, "query", "use practical mode or set m_inner")
     ledgers = {"p": QueryLedger(), "q": QueryLedger()}
-    n_samples = params.sample_count()
-    m_inner = params.inner_queries(_same_support(op, oq))
 
     from_q = rng.integers(0, 2, size=n_samples) == 1
     elements = np.empty(n_samples, dtype=np.int64)
@@ -242,34 +253,23 @@ class UniformityParams:
         _positive(self.epsilon, "epsilon")
         _check_counts(self, "m_samples", "k_queries", "l_repeats")
 
-    @property
-    def alpha(self) -> float:
-        return 2**8 / self.epsilon**4
-
-    def resolved(self, n: int) -> tuple[int, int | float, int | float, float]:
-        """Return ``(M, K, L, threshold)`` for support size ``n``.
-
-        ``K`` and ``L`` may be ``inf`` in paper mode when ``exp(alpha)``
-        overflows.
-        """
+    def resolved(self, n: int) -> tuple[int | float, int | float, int | float, float]:
+        """Return ``(M, K, L, threshold)`` for support size ``n``; a default count is
+        ``inf`` where its formula overflows (in paper mode, ``L`` below eps = 0.7753)."""
         eps = self.epsilon
         base = _uniformity_base(n, eps)
         if self.mode == "paper":
-            try:
-                blowup = math.exp(self.alpha)
-            except OverflowError:
-                blowup = math.inf
-            m = math.ceil((32.0 * n / eps**4) ** (1 / 3))
-            k, l = DEFAULT_C * blowup * base, 4.0 * blowup
+            alpha = _over(2**8, eps**4)
+            blowup = math.exp(alpha) if alpha <= _MAX_EXP else math.inf
+            m = _rounded(_over(32.0 * n, eps**4) ** (1 / 3))
+            k, l = _rounded(DEFAULT_C * blowup * base), _rounded(4.0 * blowup)
             factor = 1.0 + eps**2 / 8.0
         else:
-            m = max(4, math.ceil(PRACTICAL_UNIFORMITY_SAMPLE_MULT * base))
-            k, l = PRACTICAL_UNIFORMITY_QUERY_MULT * base, PRACTICAL_UNIFORMITY_REPEATS
+            m = max(4, _rounded(PRACTICAL_UNIFORMITY_SAMPLE_MULT * base))
+            k = _rounded(PRACTICAL_UNIFORMITY_QUERY_MULT * base)
+            l = PRACTICAL_UNIFORMITY_REPEATS
             factor = 1.0 + PRACTICAL_UNIFORMITY_THRESHOLD_BUMP * eps**2
-        k, l = (math.ceil(x) if math.isfinite(x) else math.inf for x in (k, l))
-        m = _explicit(self.m_samples, m)
-        k = _explicit(self.k_queries, k)
-        l = _explicit(self.l_repeats, l)
+        m, k, l = self.m_samples or m, self.k_queries or k, self.l_repeats or l
         return m, k, l, factor * m / n
 
 
@@ -286,11 +286,8 @@ def utest(
     K quantum applications, the collision branch makes none.
     """
     m, k, _, threshold = params.resolved(o.n)
-    if not math.isfinite(k):
-        raise RuntimeError(
-            "paper-mode query count is not representable; use practical mode "
-            "or set k_queries explicitly"
-        )
+    _runnable(m, "sample", "use practical mode or set m_samples")
+    _runnable(k, "query", "use practical mode or set k_queries")
     samples = classical_samples(o, m, rng, ledger)
     ordered = np.sort(samples)
     if np.any(ordered[1:] == ordered[:-1]):
@@ -308,14 +305,9 @@ def uniformity_test(
     """Repetition wrapper: up to L independent rounds of :func:`utest`,
     rejecting if any round rejects."""
     _, _, l, _ = params.resolved(o.n)
-    if not math.isfinite(l) or l > 10**7:
-        raise RuntimeError(
-            f"round count {l} is not runnable; use practical mode or set l_repeats"
-        )
+    _runnable(l, "round", "use practical mode or set l_repeats", limit=10**7)
     ledger = QueryLedger()
-    return _any_round_rejects(
-        l, lambda: utest(o, params, rng, ledger), {"p": ledger}
-    )
+    return _any_round_rejects(l, lambda: utest(o, params, rng, ledger), {"p": ledger})
 
 
 def sampled_mass(
@@ -353,10 +345,10 @@ class OrthogonalityParams:
         _positive(self.epsilon, "epsilon")
         _check_counts(self, "m_samples", "k_queries", "rounds")
 
-    def resolved(self, n: int) -> tuple[int, int, float]:
-        default = math.ceil(n ** (1 / 3) / self.epsilon)
-        m = _explicit(self.m_samples, default)
-        k = _explicit(self.k_queries, default)
+    def resolved(self, n: int) -> tuple[int | float, int | float, float]:
+        """Return ``(M, K, threshold)`` for support size ``n``; a default count may be ``inf``."""
+        default = _rounded(_over(n ** (1 / 3), self.epsilon))
+        m, k = self.m_samples or default, self.k_queries or default
         threshold = self.epsilon**3 * m / (2**12 * n)
         if threshold <= 0:  # eps**3 underflows below eps ~ 1e-108; every round would reject
             raise ValueError("threshold must be positive")
@@ -380,6 +372,8 @@ def otest(
     certainty, and the round accepts.
     """
     m, k, threshold = params.resolved(_same_support(op, oq))
+    _runnable(m, "sample", "set m_samples")
+    _runnable(k, "query", "set k_queries")
     samples = classical_samples(op, m, rng, ledger_p)
     qe = est_prob(oq, samples, k, rng, ledger_q)
     decision = "reject" if qe.estimate >= threshold else "accept"

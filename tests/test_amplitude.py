@@ -145,7 +145,6 @@ def test_est_prob_ledger_and_support():
     m = 17
     for _ in range(25):
         pe = est_prob(o, (0, 3), m, rng, ledger)
-        assert pe.m == m
         assert pe.estimate == math.sin(math.pi * pe.raw_outcome / m) ** 2
         assert 0 <= pe.raw_outcome < m
         assert pe.target_set_mass == 0.25
@@ -332,7 +331,8 @@ def test_est_probs_of_no_elements_draws_and_charges_nothing():
     ledger = QueryLedger()
     outcomes, estimates = est_probs((o, o), [], 8, rng, (ledger, ledger))
     assert outcomes.shape == estimates.shape == (0, 2)
-    assert ledger.total == 0 and rng.bit_generator.state == state
+    assert ledger.classical_samples + ledger.quantum_applications == 0
+    assert rng.bit_generator.state == state
 
 
 def test_est_prob_coverage_contract():

@@ -117,6 +117,22 @@ def test_run_scaling_excludes_saturated_smallest_point(monkeypatch):
     assert 0.2 <= result.slope <= 0.45
 
 
+def test_run_scaling_short_fit_after_exclusion_is_a_runtime_error(monkeypatch):
+    # every point is saturated, so the smallest n is dropped and 3 remain
+    _with_sweep(monkeypatch, "uniformity", (300.0,))
+    with pytest.raises(RuntimeError, match="4 points"):
+        run_scaling("uniformity", [10**3, 10**4, 10**5, 10**6], 0.5, trials=5, seed=3)
+
+
+def test_run_scaling_checks_n_values_before_any_trial(monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_trial", no_trial)
+    with pytest.raises(ValueError, match="4 points"):
+        run_scaling("uniformity", [1000, 10000], 0.5, trials=5, seed=0)
+
+
 def test_run_scaling_calibration_failure(monkeypatch):
     _with_sweep(monkeypatch, "uniformity", (1e-6,))
     with pytest.raises(RuntimeError, match="calibration failed"):
@@ -274,10 +290,33 @@ def test_cli_config_error_codes(tmp_path, capsys):
         assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
-def test_cli_runtime_error_code():
-    # paper-mode repetition count is not runnable: runtime failure, code 3
-    assert run_cli(["uniformity", "--n", "1000", "--mode", "paper", "--trials", "1",
-                    "--seed", "0"]) == 3
+# Each argv's default counts cannot be represented; each runs with --trials 1.
+_UNRUNNABLE = {
+    "uniformity-paper-rounds": "uniformity --n 1000 --mode paper --seed 0",  # L = inf
+    "estdist-paper-eps": "estdist --mode paper --eps 1e-55 --pair identical",  # eps^6 = 0
+    "estdist-paper-tau": "estdist --mode paper --tau 1e-90 --pair identical",  # tau^4 = 0
+    "uniformity-practical-samples": "uniformity --eps 1e-240",  # M overflows
+    "uniformity-paper-samples": "uniformity --mode paper --eps 1e-78",  # M overflows
+    "uniformity-paper-eps": "uniformity --mode paper --eps 1e-82",  # eps^4 = 0
+    "orthogonality-samples": "orthogonality --eps 1e-320",  # ceil(N^(1/3) / eps) overflows
+    "baseline-uniformity-eps": "baseline-uniformity --eps 1e-200",  # eps^2 = 0
+}
+
+
+@pytest.mark.parametrize("argv", _UNRUNNABLE.values(), ids=_UNRUNNABLE.keys())
+def test_cli_runtime_error_code(argv, capsys):
+    # a count its formula cannot represent is refused before the first draw
+    assert run_cli([*argv.split(), "--trials", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("runtime error: ") and err.count("\n") == 1, err
+
+
+def test_cli_explicit_counts_win_over_unrepresentable_formulas(capsys):
+    # tau^4 underflows to 0, but explicit counts leave the formulas unread
+    assert run_cli(["estdist", "--mode", "paper", "--eps", "0.5", "--tau", "1e-90",
+                    "--samples", "5", "--m-inner", "5", "--pair", "identical",
+                    "--trials", "1"]) == 0
 
 
 def test_cli_instance_file_fixture(tmp_path):

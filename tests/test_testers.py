@@ -136,9 +136,10 @@ def test_est_dist_query_accounting():
 
 def test_est_dist_paper_mode_formulas():
     params = StatDiffParams(epsilon=1.0, tau=1 / 3, mode="paper")
-    assert params.sample_count() == math.ceil(27 / ((1 / 3) * 1.0**2))
-    m = params.inner_queries(10**4)
-    assert m == math.ceil(DEFAULT_C * 100 / (1.0**6 * (1 / 3) ** 4))
+    assert params.resolved(10**4) == (
+        math.ceil(27 / ((1 / 3) * 1.0**2)),
+        math.ceil(DEFAULT_C * 100 / (1.0**6 * (1 / 3) ** 4)),
+    )
 
 
 def test_est_dist_paper_mode_runs_and_meets_contract():
@@ -164,8 +165,9 @@ def test_uniformity_params_paper_formulas():
     params = UniformityParams(epsilon=2.0, mode="paper")
     n = 10**6
     m, k, l, threshold = params.resolved(n)
-    assert params.alpha == 2**8 / 2.0**4
+    # alpha = 2^8 / eps^4 = 16
     assert m == math.ceil((32 * n / 2.0**4) ** (1 / 3))
+    assert k == math.ceil(DEFAULT_C * math.exp(16.0) * (n ** (1 / 3) / 2.0 ** (4 / 3)))
     assert l == math.ceil(4 * math.exp(16.0))
     assert threshold == (1 + 2.0**2 / 8) * m / n
     # small eps overflows the repetition count
@@ -192,7 +194,7 @@ def test_params_keep_explicit_values_and_reject_non_positive_counts():
     for field in ("m_samples", "k_queries"):
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
             OrthogonalityParams(epsilon=0.5, **{field: 0})
-    assert StatDiffParams(n=1, m_inner=1).sample_count() == 1
+    assert StatDiffParams(n=1, m_inner=1).resolved(n) == (1, 1)
     for field in ("n", "m_inner"):
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
             StatDiffParams(**{field: 0})
@@ -444,4 +446,5 @@ def test_orthogonality_queries_linear_in_rounds():
         verdict = orthogonality_test(
             op, oq, OrthogonalityParams(epsilon=0.5, rounds=rounds), rng
         )
-        assert sum(l.total for l in verdict.ledgers.values()) == rounds * (m + k)
+        total = sum(l.classical_samples + l.quantum_applications for l in verdict.ledgers.values())
+        assert total == rounds * (m + k)

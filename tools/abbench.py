@@ -134,7 +134,7 @@ def _draws(tree: dict) -> list:
             for target in ((0,), (o.n - 1,), (np.int64(o.n - 1),), (np.uint32(1),),
                            np.arange(min(64, o.n)), [1, 1, 2], []):
                 e = a.est_prob(o, target, m, rng, ledger)
-                out.append([e.estimate, e.raw_outcome, e.m, e.target_set_mass])
+                out.append([e.estimate, e.raw_outcome, e.target_set_mass])
     for m in (3, M, 2**40):
         ledgers = (d.QueryLedger(), d.QueryLedger())
         ys, es = a.est_probs(tuple(oracles[:2]), rng.integers(0, N, 50), m, rng, ledgers)

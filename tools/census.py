@@ -4,12 +4,16 @@ Runs every golden CLI case (through ``tests/test_cli_golden.run_case``), every
 demo in ``demos/``, every n = 1e9 argv of ``tools/scale_argvs.txt`` (the list
 CI runs in a 2 GiB address space) and the first ops of each workload in
 ``perfbench/worker.py``'s ``WORKLOADS``, in this process, under
-``sys.settrace``.  Then it prints, per module, the executable lines (from the
-compiled line tables) and the ones no caller reached, and last the functions
-and classes named in a module's ``__all__`` that no caller reached: a
-function whose code never ran, a class none of whose methods ran and that
-was never built.  Constants and re-exported names are not traced.  The
-census reports and never fails.
+``sys.settrace``.  Then it prints, per module, its size (``wc -l`` lines and
+Python tokens, counted by ``tokenize`` without comments, newlines, indents
+and dedents, and the encoding and end markers), the executable lines (from
+the compiled line tables) and the ones no caller reached, with totals.  Last
+it prints the functions and classes named in a module's ``__all__`` that no
+caller reached (a function whose code never ran, a class none of whose
+methods ran and that was never built), and the public methods and
+properties, dunders included, of the classes named there that no caller
+ran.  Constants, re-exported names and generated (dataclass) methods are
+not listed.  The census reports and never fails.
 
     python tools/census.py
 """
@@ -23,6 +27,7 @@ import os
 import runpy
 import sys
 import tempfile
+import tokenize
 import types
 from pathlib import Path
 
@@ -30,6 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qdisttest"
 PREFIX = str(PACKAGE) + os.sep
 WORKLOAD_OPS = 2  # the estdist workload alternates two pairs
+UNCOUNTED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
 reached: dict[str, set[int]] = {}  # file -> lines that ran
 entered: set[types.CodeType] = set()  # code objects of the package that ran
@@ -110,8 +117,31 @@ def run_callers() -> None:
                 workload.record(g, workload.run(g, child_rng(1, 2, g)))
 
 
-def unreached_names(module) -> list[str]:
-    names = []
+def tokens(path: Path) -> int:
+    """Python tokens of ``path``, without the ``UNCOUNTED`` kinds."""
+    with open(path, "rb") as fh:
+        return sum(t.type not in UNCOUNTED for t in tokenize.tokenize(fh.readline))
+
+
+def public(attr: str) -> bool:
+    """A public name or a dunder, not a ``_private`` one."""
+    return not attr.startswith("_") or attr.startswith("__") and attr.endswith("__")
+
+
+def methods(cls: type) -> dict[str, types.CodeType]:
+    """The code of each method and property getter written in ``cls``'s body."""
+    found = {}
+    for attr, value in vars(cls).items():
+        func = getattr(value, "__func__", getattr(value, "fget", value))
+        if isinstance(func, types.FunctionType) and func.__code__.co_filename.startswith(PREFIX):
+            found[attr] = func.__code__
+    return found
+
+
+def unreached_names(module) -> tuple[list[str], list[str]]:
+    """The public names of ``module`` no caller reached, and the public
+    methods (dunders included) of its public classes that no caller ran."""
+    names, members = [], []
     for name in getattr(module, "__all__", []):
         obj = getattr(module, name)
         if getattr(obj, "__module__", None) != module.__name__:
@@ -120,11 +150,12 @@ def unreached_names(module) -> list[str]:
             if obj.__code__ not in entered:
                 names.append(name)
         elif isinstance(obj, type):
-            methods = [getattr(v, "__func__", getattr(v, "fget", v)) for v in vars(obj).values()]
-            codes = {m.__code__ for m in methods if isinstance(m, types.FunctionType)}
-            if obj not in built and not codes & entered:
+            codes = methods(obj)
+            if obj not in built and not set(codes.values()) & entered:
                 names.append(name)
-    return names
+            members += [f"{name}.{attr}" for attr, code in codes.items()
+                        if code not in entered and public(attr)]
+    return names, members
 
 
 def main() -> int:
@@ -133,22 +164,26 @@ def main() -> int:
         run_callers()
     finally:
         sys.settrace(None)
-    print(f"{'module':<18}{'executable':>11}{'unreached':>10}  unreached lines")
-    total = missed = 0
-    unused = []
+    print(f"{'module':<18}{'lines':>6}{'tokens':>7}{'executable':>11}{'unreached':>10}"
+          "  unreached lines")
+    totals = [0, 0, 0, 0]
+    unused, members = [], []
     for path in sorted(PACKAGE.glob("*.py")):
-        code = compile(path.read_text(), str(path), "exec")
-        lines = executable_lines(code)
+        text = path.read_text()
+        lines = executable_lines(compile(text, str(path), "exec"))
         left = lines - reached.get(str(path), set())
-        total += len(lines)
-        missed += len(left)
-        print(f"{path.name:<18}{len(lines):>11}{len(left):>10}  {ranges(left)}")
+        row = [text.count("\n"), tokens(path), len(lines), len(left)]
+        totals = [a + b for a, b in zip(totals, row)]
+        print(f"{path.name:<18}{row[0]:>6}{row[1]:>7}{row[2]:>11}{row[3]:>10}  {ranges(left)}")
         module = importlib.import_module(
             "qdisttest" if path.stem == "__init__" else f"qdisttest.{path.stem}"
         )
-        unused += [f"{module.__name__}.{name}" for name in unreached_names(module)]
-    print(f"{'total':<18}{total:>11}{missed:>10}")
+        names, methods_left = unreached_names(module)
+        unused += [f"{module.__name__}.{name}" for name in names]
+        members += [f"{module.__name__}.{name}" for name in methods_left]
+    print(f"{'total':<18}{totals[0]:>6}{totals[1]:>7}{totals[2]:>11}{totals[3]:>10}")
     print("public names no caller reached:", ", ".join(unused) or "none")
+    print("public methods no caller reached:", ", ".join(members) or "none")
     return 0
 
 
