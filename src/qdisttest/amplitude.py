@@ -263,6 +263,15 @@ def _draw(branch: tuple[int, tuple | None], m: int, rng: np.random.Generator) ->
             return sign * (base + k) % m
 
 
+def _queries(m) -> int:
+    """``m`` as a Python int; ``ValueError`` unless it is a count below ``2**63``,
+    since outcomes are int64."""
+    m = _count(m, "m")
+    if m >= 2**63:
+        raise ValueError(f"m must be a positive integer below 2**63, got {m}")
+    return m
+
+
 def est_prob(
     o: OracleTable,
     target,
@@ -274,10 +283,11 @@ def est_prob(
 
     Samples the outcome of the m-step estimation network exactly from its
     closed-form law, in time that does not grow with m.  Duplicate target
-    elements count once.  Charges ``m`` quantum applications to the ledger.
-    Zero-mass targets yield estimate 0 with certainty.
+    elements count once.  Charges ``m`` quantum applications to the ledger;
+    ``m`` must lie below ``2**63``.  Zero-mass targets yield estimate 0 with
+    certainty.
     """
-    m = _count(m, "m")
+    m = _queries(m)
     a = _target_mass(o, target)
     y = _draw(_branch(a, m), m, rng)
     if ledger is not None:
@@ -307,9 +317,7 @@ def est_probs(
     Charges ``m * len(elements)`` quantum applications to each oracle's ledger.
     The outcomes are int64, so ``m`` must lie below ``2**63``.
     """
-    m = _count(m, "m")
-    if m >= 2**63:
-        raise ValueError(f"m must be a positive integer below 2**63, got {m}")
+    m = _queries(m)
     idx = np.asarray(elements)
     _elements(idx, _same_support(*oracles))
     masses = []

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import OracleTable, QueryLedger, _count, _same_support, classical_samples
+from .distributions import OracleTable, QueryLedger, classical_samples
+from .distributions import _count, _positive, _same_support
 
 __all__ = [
     "classical_uniformity_test",
@@ -46,6 +47,7 @@ def classical_uniformity_test(
     midpoint ``(1 + eps^2/2)/n``.
     """
     m = _count(m, "m", 2)  # a collision needs two samples
+    _positive(epsilon, "epsilon")
     samples = classical_samples(o, m, rng, ledger)
     samples.sort()  # a fresh array, sorted in place
     c_hat = _sorted_collision_pairs(samples) / (m * (m - 1) / 2)

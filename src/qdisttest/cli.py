@@ -77,37 +77,28 @@ def _trials(args, trial) -> list[dict]:
     return [{"trial": t, **trial()} for t in range(args.trials)]
 
 
-def _outcomes(args, key: str, test, oracles, budget, rng) -> list[dict]:
-    """One row per ``harness.run_trial``: the outcome under ``key``, and the queries."""
-    names = (key, "classical", "quantum")
-    return _trials(args, lambda: dict(zip(names, harness.run_trial(test, oracles, budget, rng))))
-
-
-def _decisions(args, positive: str, *trial):
-    """Columns, rows and summary of an accept/reject experiment that runs
-    ``trial`` (test, oracles, budget, rng) through ``_outcomes``; each row adds
-    whether the decision was ``positive`` and the cumulative rate."""
-    rate = "acceptance_rate" if positive == "accept" else "rejection_rate"
-    rows = _outcomes(args, "decision", *trial)
-    hits = 0
-    for t, row in enumerate(rows):
-        row[positive] = int(row["decision"] == positive)
-        hits += row[positive]
-        row[rate] = hits / (t + 1)
-    columns = ["trial", "decision", positive, rate, "classical", "quantum"]
-    return columns, rows, f"{rate}={hits / args.trials!r}"
-
-
-def _estimates(args, distance: float, *trial):
-    """Columns and rows of an estimation experiment; each row adds the
-    target, half of ``distance``."""
-    rows = [{**row, "target": distance / 2} for row in _outcomes(args, "estimate", *trial)]
-    return ["trial", "estimate", "target", "classical", "quantum"], rows
-
-
-def _pair_instance(args):
+def _tester(args, test, oracles, budget, positive, **meta):
+    """The table and stderr note of ``args.trials`` seeded trials of ``test``
+    on ``oracles`` with ``budget``, each a ``harness.run_trial``.  A decision
+    tester's rows add whether the decision was ``positive`` and the cumulative
+    rate; an estimator's (``positive`` None) add the target, half of
+    ``meta["distance"]``.  ``meta`` holds the subcommand's header fields."""
     rng = np.random.default_rng(args.seed)
-    return (rng, *harness.make_instance_pair(args.pair, args.n, args.eps))
+    key = "estimate" if positive is None else "decision"
+    names = (key, "classical", "quantum")
+    rows = _trials(args, lambda: dict(zip(names, harness.run_trial(test, oracles, budget, rng))))
+    if positive is None:
+        for row in rows:
+            row["target"] = meta["distance"] / 2
+        return (["trial", key, "target", "classical", "quantum"], rows, meta), None
+    rate = "acceptance_rate" if positive == "accept" else "rejection_rate"
+    hits = 0
+    for t, row in enumerate(rows, 1):
+        row[positive] = int(row[key] == positive)
+        hits += row[positive]
+        row[rate] = hits / t
+    columns = ["trial", key, positive, rate, "classical", "quantum"]
+    return (columns, rows, meta), f"{rate}={hits / args.trials!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +133,15 @@ def _estprob(args):
 
 
 def _estdist(args):
-    rng, op, oq, distance = _pair_instance(args)
+    op, oq, distance = harness.make_instance_pair(args.pair, args.n, args.eps)
     params = testers.StatDiffParams(
         epsilon=args.eps, tau=args.tau, mode=args.mode, n=args.samples, m_inner=args.m_inner
     )
-    columns, rows = _estimates(args, distance, testers.est_dist, (op, oq), params, rng)
-    meta = {"n": args.n, "pair": args.pair, "distance": distance, "mode": args.mode}
-    return (columns, rows, meta), None
+    return _tester(args, testers.est_dist, (op, oq), params, None,
+                   n=args.n, pair=args.pair, distance=distance, mode=args.mode)
 
 
 def _uniformity(args):
-    rng = np.random.default_rng(args.seed)
     if args.instance_file:
         oracle, kind = distributions.load_oracle(args.instance_file)
         args.n = oracle.n
@@ -165,60 +154,41 @@ def _uniformity(args):
         epsilon=args.eps, mode=args.mode, m_samples=args.samples, k_queries=args.k,
         l_repeats=args.repeats,
     )
-    columns, rows, note = _decisions(
-        args, "accept", testers.uniformity_test, (oracle,), params, rng
-    )
     m, k, l, thr = params.resolved(args.n)
-    meta = {
-        "n": args.n, "instance": kind or "unknown", "eps": args.eps, "mode": args.mode,
-        "m": m, "k": k, "l": l, "threshold": thr,
-    }
-    return (columns, rows, meta), note
+    return _tester(args, testers.uniformity_test, (oracle,), params, "accept",
+                   n=args.n, instance=kind or "unknown", eps=args.eps, mode=args.mode,
+                   m=m, k=k, l=l, threshold=thr)
 
 
 def _orthogonality(args):
-    rng, op, oq, distance = _pair_instance(args)
+    op, oq, distance = harness.make_instance_pair(args.pair, args.n, args.eps)
     params = testers.OrthogonalityParams(
         epsilon=args.eps, m_samples=args.samples, k_queries=args.k, rounds=args.rounds
     )
-    columns, rows, note = _decisions(
-        args, "reject", testers.orthogonality_test, (op, oq), params, rng
-    )
-    meta = {"n": args.n, "pair": args.pair, "eps": args.eps, "distance": distance,
-            "rounds": params.rounds}
-    return (columns, rows, meta), note
+    return _tester(args, testers.orthogonality_test, (op, oq), params, "reject",
+                   n=args.n, pair=args.pair, eps=args.eps, distance=distance,
+                   rounds=params.rounds)
 
 
 def _baseline_uniformity(args):
-    distributions._positive(args.eps, "eps")
-    rng = np.random.default_rng(args.seed)
     oracle = harness.make_instance(args.instance, args.n, args.eps)
     m = args.samples or harness.collision_samples(4.0, args.n, args.eps)
-    columns, rows, note = _decisions(
-        args, "accept", baselines.classical_uniformity_test, (oracle,), (m, args.eps), rng
-    )
-    meta = {"n": args.n, "instance": args.instance, "eps": args.eps, "m": m}
-    return (columns, rows, meta), note
+    return _tester(args, baselines.classical_uniformity_test, (oracle,), (m, args.eps),
+                   "accept", n=args.n, instance=args.instance, eps=args.eps, m=m)
 
 
 def _baseline_statdiff(args):
-    rng, op, oq, distance = _pair_instance(args)
+    op, oq, distance = harness.make_instance_pair(args.pair, args.n, args.eps)
     m = args.samples or args.n
-    columns, rows = _estimates(
-        args, distance, baselines.classical_statdiff_plugin, (op, oq), (m,), rng
-    )
-    meta = {"n": args.n, "pair": args.pair, "distance": distance, "m": m}
-    return (columns, rows, meta), None
+    return _tester(args, baselines.classical_statdiff_plugin, (op, oq), (m,), None,
+                   n=args.n, pair=args.pair, distance=distance, m=m)
 
 
 def _baseline_orthogonality(args):
-    rng, op, oq, distance = _pair_instance(args)
+    op, oq, distance = harness.make_instance_pair(args.pair, args.n, args.eps)
     m = args.samples or math.ceil(4.0 * math.sqrt(args.n))
-    columns, rows, note = _decisions(
-        args, "reject", baselines.classical_orthogonality_test, (op, oq), (m,), rng
-    )
-    meta = {"n": args.n, "pair": args.pair, "distance": distance, "m": m}
-    return (columns, rows, meta), note
+    return _tester(args, baselines.classical_orthogonality_test, (op, oq), (m,), "reject",
+                   n=args.n, pair=args.pair, distance=distance, m=m)
 
 
 def _scaling(args):

@@ -17,6 +17,7 @@ from . import baselines, testers
 from .distributions import (
     OracleTable,
     _count,
+    _positive,
     biased_pair,
     disjoint_pair,
     half_support,
@@ -162,6 +163,7 @@ def make_instance_pair(name: str, n: int, eps) -> tuple[OracleTable, OracleTable
 
 def collision_samples(constant: float, n: int, eps: float) -> int:
     """The collision tester's sample count, ``max(2, ceil(constant * sqrt(n) / eps^2))``."""
+    _positive(eps, "epsilon")
     m = max(2, testers._rounded(testers._over(constant * math.sqrt(n), eps**2)))
     testers._runnable(m, "sample", "set the sample count")
     return m
@@ -257,6 +259,7 @@ def run_scaling(
         raise ValueError(f"unknown scaling tester {tester!r}")
     if not 0 <= target_error < 1:  # also rejects NaN
         raise ValueError("target error must lie in [0, 1)")
+    _positive(epsilon, "epsilon")
     cases_at, test, budget_at, sweep = _SCALING_TESTERS[tester]
     n_values = [_count(n, "n") for n in n_values]
     _check_fit_points(n_values)

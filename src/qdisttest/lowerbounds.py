@@ -79,11 +79,13 @@ class CollisionFunction:
 
     @classmethod
     def one_to_one(cls, n: int, rng: np.random.Generator) -> "CollisionFunction":
+        n = _even(n, "n")
         table = rng.permutation(3 * n // 2)[:n]
         return cls(table, ONE_TO_ONE)
 
     @classmethod
     def two_to_one(cls, n: int, rng: np.random.Generator) -> "CollisionFunction":
+        n = _even(n, "n")
         values = rng.permutation(3 * n // 2)[: n // 2]
         table = np.repeat(values, 2)
         rng.shuffle(table)

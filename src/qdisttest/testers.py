@@ -115,8 +115,9 @@ def _over(numer: float, denom: float) -> float:
 
 
 def _rounded(value: float) -> int | float:
-    """The count a formula's ``value`` rounds up to: ``inf`` unless the value is finite."""
-    return math.ceil(value) if math.isfinite(value) else math.inf
+    """The count a formula's ``value`` rounds up to: ``inf`` unless the value
+    lies below ``2**63`` (NaN included), since no larger count can be drawn."""
+    return math.ceil(value) if value < 2**63 else math.inf
 
 
 def _runnable(count, name: str, fix: str, limit: float = math.inf) -> None:

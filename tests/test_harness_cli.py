@@ -300,6 +300,10 @@ _UNRUNNABLE = {
     "uniformity-paper-eps": "uniformity --mode paper --eps 1e-82",  # eps^4 = 0
     "orthogonality-samples": "orthogonality --eps 1e-320",  # ceil(N^(1/3) / eps) overflows
     "baseline-uniformity-eps": "baseline-uniformity --eps 1e-200",  # eps^2 = 0
+    # finite defaults at or above 2**63, which no draw can reach
+    "uniformity-huge-samples": "uniformity --eps 1e-80",  # M ~ 5.4e107
+    "baseline-uniformity-huge-samples": "baseline-uniformity --eps 1e-100",  # m ~ 4e202
+    "orthogonality-huge-samples": "orthogonality --eps 1e-200",  # M = 1e201, eps^3 = 0
 }
 
 
@@ -468,11 +472,21 @@ def test_cli_flag_errors_print_the_subcommand_usage(name, capsys):
 
 
 def test_non_finite_eps_names_epsilon(capsys):
-    for command in ("uniformity", "orthogonality"):
+    # baseline-uniformity's eps is checked by collision_samples, or by the
+    # tester itself when --samples sets the count
+    for command in (["uniformity"], ["orthogonality"], ["baseline-uniformity"],
+                    ["baseline-uniformity", "--samples", "100"]):
         for eps in ("inf", "nan"):
-            assert run_cli([command, "--eps", eps, "--trials", "2"]) == 2
+            assert run_cli([*command, "--eps", eps, "--trials", "2"]) == 2
             err = capsys.readouterr().err
             assert err == f"config error: epsilon must be positive and finite, got {eps}\n", (command, eps)
+
+
+@pytest.mark.parametrize("kind", ["one-to-one", "two-to-one"])
+def test_lb_collision_odd_n_is_named(kind, capsys):
+    # the collision function's constructors check n before drawing
+    assert run_cli(["lb-collision", "--n", "7", "--kind", kind, "--trials", "1"]) == 2
+    assert capsys.readouterr().err == "config error: n must be an even integer >= 2\n"
 
 
 LIMITED = """

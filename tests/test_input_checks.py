@@ -7,6 +7,8 @@ element or a flat vector of them; each element follows the same rule and
 must lie in [0, n).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ from qdisttest.distributions import (
     overlapping_pair,
     uniform,
 )
-from qdisttest.harness import run_scaling
+from qdisttest.harness import collision_samples, run_scaling
 from qdisttest.lowerbounds import corollary_report, empirical_fingerprint_tv
 from qdisttest.testers import (
     OrthogonalityParams,
@@ -178,3 +180,44 @@ def test_one_classical_sample_is_a_batch_of_one(oracle):
         runs.append((values, ledger, rng.bit_generator.state))
     assert runs[0] == runs[1]
     assert all(type(v) is int for v in runs[0][0])
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda m: est_prob(ORACLE, (0,), m, RNG),
+    lambda m: est_probs((ORACLE,), [0], m, RNG),
+], ids=["est_prob", "est_probs"])
+def test_query_counts_lie_below_2_63(estimate):
+    """Both estimator entry points store outcomes as int64, so both refuse
+    ``m = 2**63`` and run at ``2**63 - 1``."""
+    with pytest.raises(ValueError) as exc:
+        estimate(2**63)
+    assert str(exc.value) == f"m must be a positive integer below 2**63, got {2**63}"
+    estimate(2**63 - 1)
+
+
+BAD_EPS = [float("nan"), -0.5, 0.0, float("inf")]
+
+
+def _epsilon_error(eps) -> str:
+    return f"epsilon must be positive and finite, got {eps!r}"
+
+
+@pytest.mark.parametrize("eps", BAD_EPS)
+def test_classical_uniformity_test_checks_epsilon(eps):
+    # NaN would accept every time and -0.5 act as 0.5
+    with pytest.raises(ValueError, match=re.escape(_epsilon_error(eps))):
+        classical_uniformity_test(ORACLE, 100, eps, RNG)
+
+
+@pytest.mark.parametrize("eps", BAD_EPS)
+def test_collision_samples_checks_epsilon(eps):
+    # -0.5 would give 506 samples
+    with pytest.raises(ValueError, match=re.escape(_epsilon_error(eps))):
+        collision_samples(4.0, 1000, eps)
+
+
+@pytest.mark.parametrize("eps", BAD_EPS)
+def test_run_scaling_checks_epsilon(eps):
+    # the statdiff cases never read eps, so it is checked before any trial
+    with pytest.raises(ValueError, match=re.escape(_epsilon_error(eps))):
+        run_scaling("statdiff", [100, 1000, 10**4, 10**5], eps, trials=1, seed=0)

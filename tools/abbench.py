@@ -17,8 +17,10 @@ package imports only relatively, so the copies share no module.
   warnings, with ``{tmp}`` filled in as that test does), then seeded
   ``est_prob`` (one-element targets as Python, int64 and uint32 integers,
   and sets), ``est_probs`` and ``classical_samples`` draws on 1- to
-  1,000-block oracles, ``classical_sample`` draws, and plug-in distances at
-  n = 1,600 and m from 99 to 5,000, with the ledgers and the generator state
+  1,000-block oracles, ``classical_sample`` draws, plug-in distances at
+  n = 1,600 and m from 99 to 5,000, collision-tester decisions at m from 2
+  to 2,000 and eps from 0.1 to 1, and cross-collision decisions on four
+  pairs at m from 1 to 400, with the ledgers and the generator state
   afterwards.
   The cases are those of the checkout that holds this tool.
 
@@ -152,9 +154,19 @@ def _draws(tree: dict) -> list:
     out.append([d.classical_sample(o, rng, ledger) for o in oracles for _ in range(50)])
     p, q = d.overlapping_pair(1600, 0.5)
     op, oq = d.make_oracle(p, p.denominator), d.make_oracle(q, q.denominator)
+    b = tree["baselines"]
     for m in (99, 100, 101, 5000):  # m on both sides of n / 16 = 100, and above n
-        out.append([tree["baselines"].classical_statdiff_plugin(x, y, m, rng, ledger)
+        out.append([b.classical_statdiff_plugin(x, y, m, rng, ledger)
                     for x, y in ((op, oq), (oq, op), (op, op))])
+    for o in oracles[:3]:  # biased and uniform at n = 1e6, half-support at n = 1,000
+        out.append([b.classical_uniformity_test(o, m, eps, rng, ledger)
+                    for m in (2, 50, 2000) for eps in (0.1, 0.5, 1.0)])
+    disjoint = [d.make_oracle(x, x.denominator) for x in d.disjoint_pair(1600)]
+    for x, y in ((op, oq), (oq, op), (op, op), disjoint):
+        ledgers = (d.QueryLedger(), d.QueryLedger())
+        out.append([b.classical_orthogonality_test(x, y, m, rng, *ledgers)
+                    for m in (1, 10, 40, 400)])
+        out.append([(l.classical_samples, l.quantum_applications) for l in ledgers])
     out.append([ledger.classical_samples, ledger.quantum_applications])
     out.append(rng.bit_generator.state)
     return out
@@ -173,7 +185,11 @@ def equality(trees: dict[str, dict]) -> dict:
                   "Python, int64 and uint32 integers, and sets) and est_probs draws on four "
                   "oracles at m from 1 to 2**40, classical_samples on 1- to 1,000-block oracles, "
                   "classical_sample draws, classical_statdiff_plugin at n = 1,600 and m in "
-                  "{99, 100, 101, 5000}, the ledgers and the final generator state",
+                  "{99, 100, 101, 5000}, classical_uniformity_test on three oracles at m in "
+                  "{2, 50, 2000} and eps in {0.1, 0.5, 1}, classical_orthogonality_test on "
+                  "four pairs (overlapping both ways, identical, disjoint) at m in "
+                  "{1, 10, 40, 400} with its own two ledgers, the ledgers and the final "
+                  "generator state",
         "sha256": digests,
         "result": "identical" if len(set(digests.values())) == 1 else "different",
     }
